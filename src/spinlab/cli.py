@@ -206,7 +206,6 @@ def _run_layers(p, seed):
     c1 = density_cap_constant(p["cbar"])
     rng = np.random.default_rng(seed)
     rows = []
-    worst = 0.0
     for orbit_idx in range(p["orbits"]):
         orbit = OrbitConfiguration.random(p["n"], rng)
         densities = [chi_density(layer_potential(k, orbit, pot, grid_size=p["grid"]))
@@ -215,8 +214,8 @@ def _run_layers(p, seed):
             prod = convolve(densities[k:])
             dev = prod.sup_deviation
             bound = uniformity_bound(k, p["n"], c1)
-            worst = max(worst, dev - bound)
             rows.append([orbit_idx, k, p["n"], dev, bound, int(dev <= bound)])
+    worst = max(dev - bound for _, _, _, dev, bound, _ in rows)
     tables = {"layers.csv": (["orbit", "k", "r", "sup_dev", "bound", "ok"], rows)}
     return tables, {"c1": c1, "worst_margin": worst,
                     "all_within_bound": bool(worst <= 0)}
@@ -310,16 +309,16 @@ def _run_rotation(p, seed):
     from .sampler import cos_at, fixed_bc, rotation_discrepancy
 
     pot = potential_preset(p["potential"])
-    rows = []
-    discs = []
-    for i, n in enumerate(p["ns"]):
-        rep = rotation_discrepancy(pot, fixed_bc(0.0), cos_at((0, 0)),
-                                   p["psi"], n, p["sweeps"], seed + i)
-        discs.append(rep.discrepancy)
-        rows.append([n, p["psi"], rep.discrepancy, rep.error])
+    reps = [rotation_discrepancy(pot, fixed_bc(0.0), cos_at((0, 0)),
+                                 p["psi"], n, p["sweeps"], seed + i)
+            for i, n in enumerate(p["ns"])]
+    rows = [[r.n, p["psi"], r.discrepancy, r.error] for r in reps]
+    discs = [r.discrepancy for r in reps]
     tables = {"rotation.csv": (["n", "psi", "discrepancy", "error"], rows)}
     return tables, {"discrepancies": discs,
-                    "decreasing": bool(all(a > b for a, b in zip(discs, discs[1:])))}
+                    "decreasing": bool(all(a > b for a, b in zip(discs, discs[1:]))),
+                    "widths": [r.width for r in reps],
+                    "acceptance_rates": [r.acceptance_rate for r in reps]}
 
 
 def _run_twopoint(p, seed):

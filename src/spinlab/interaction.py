@@ -32,12 +32,16 @@ class PairPotential:
 
     `func` must accept numpy arrays of wrapped angles.  `cutoff` marks a
     hard core: the value is +inf exactly for circle distance > cutoff.
+    `fourier`, when given, is the same function as a trigonometric
+    polynomial; the Metropolis sweep then computes energy differences from
+    per-mode local fields instead of calling `func`.
     """
 
     name: str
     func: Callable[[np.ndarray], np.ndarray]
     second_derivative_bound: Optional[float] = None
     cutoff: Optional[float] = None
+    fourier: Optional["TrigPolynomial"] = field(default=None, compare=False)
 
     def __call__(self, phi):
         phi = wrap_angle(phi)
@@ -54,7 +58,9 @@ class PairPotential:
 def xy(J: float = 1.0) -> PairPotential:
     """XY interaction -J cos(phi); U'' = J cos <= J."""
     return PairPotential(f"xy({J})", lambda p: -J * np.cos(p),
-                         second_derivative_bound=abs(J))
+                         second_derivative_bound=abs(J),
+                         fourier=TrigPolynomial(0.0, np.array([-float(J)]),
+                                                np.array([0.0])))
 
 
 def aizenman(theta: float) -> PairPotential:
@@ -65,10 +71,15 @@ def aizenman(theta: float) -> PairPotential:
 
 
 def logsing(floor: float = -30.0) -> PairPotential:
-    """Integrable log singularity at 0, clamped below at `floor`.
+    """Log singularity at 0, clamped below at `floor`.
 
-    The clamp changes e^{-U} by less than 1e-13 at the default floor, below
-    every tolerance used here.
+    The clamp is not a small correction.  e^{-U} = 1/|phi| is not integrable
+    at 0, so the Gibbs weight is finite only because of the clamp, and it
+    depends on `floor`: for a spin with four neighbours at one angle, the
+    weight |phi|^{-4} puts all but about 2e-4 of its mass within 1e-12 of
+    that angle at the default floor.  A Metropolis chain started from an
+    ordered state stays in that well: it accepts no move, and its tuned
+    proposal width sits at the 1e-3 floor.
     """
 
     def f(p):
@@ -130,7 +141,8 @@ class TrigPolynomial:
 
     def as_potential(self, name: str = "trig") -> PairPotential:
         return PairPotential(name, self.__call__,
-                             second_derivative_bound=second_derivative_bound(self))
+                             second_derivative_bound=second_derivative_bound(self),
+                             fourier=self)
 
     def coefficient_lines(self) -> str:
         """Plain-text export: one 'index value' pair per line (sin indices

@@ -191,6 +191,9 @@ class _Stencil:
             self.ring_phase = len(self.phases) - 1
         else:
             self.ring_phase = None
+        # weights are 0 or 1; for the local-field sweep a neighbour of
+        # weight 0 points one past the grid, where that sweep keeps zeros
+        self.field_nbrs = [np.where(w > 0, nbr, s * s) for _, nbr, w in self.phases]
 
     def _phase(self, mask, interior, bc, s, xs, ys, flat):
         idx = flat[mask]
@@ -216,21 +219,22 @@ def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
                      stencil: _Stencil = None, ring_arcs=None) -> int:
     """One full sweep of single-site proposals; returns accepted count.
 
+    A potential with a Fourier form and no hard core, swept without ring
+    arcs, goes through `_local_field_sweep`: the same random draws and, up
+    to roundoff in dE, the same moves, without calling the potential.
     `ring_arcs`, when given, is (centers, halfwidth) for the boundary ring
     phase: ring proposals outside their arc are rejected (uniform prior on
     the arc, Gibbs weight from the interior bonds).
     """
     if stencil is None:
         stencil = _Stencil(cfg.n, bc, with_ring=ring_arcs is not None)
+    if pot.fourier is not None and pot.cutoff is None and ring_arcs is None:
+        return _local_field_sweep(cfg, pot.fourier, width, rng, stencil)
     flat = cfg.grid.ravel()
     accepted = 0
     for p, (idx, nbr, w) in enumerate(stencil.phases):
         cur = flat[idx]
-        step = width * rng.standard_normal(len(idx))
-        prop = wrap_angle(cur + step)
-        refresh = rng.random(len(idx)) < 0.1
-        if refresh.any():
-            prop[refresh] = rng.uniform(-math.pi, math.pi, int(refresh.sum()))
+        prop = _propose(cur, width, rng)
         nbrv = flat[nbr]
         with np.errstate(invalid="ignore"):
             e_old = np.where(w > 0, pot(cur[None, :] - nbrv), 0.0).sum(axis=0)
@@ -243,6 +247,46 @@ def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
             ok &= circle_dist(prop - centers) <= half
         flat[idx[ok]] = prop[ok]
         accepted += int(ok.sum())
+    return accepted
+
+
+def _propose(cur, width, rng) -> np.ndarray:
+    """Wrapped Gaussian steps, each replaced by a uniform refresh with
+    probability 0.1."""
+    step = width * rng.standard_normal(len(cur))
+    prop = wrap_angle(cur + step)
+    refresh = rng.random(len(cur)) < 0.1
+    k = np.count_nonzero(refresh)
+    if k:
+        prop[refresh] = rng.uniform(-math.pi, math.pi, k)
+    return prop
+
+
+def _local_field_sweep(cfg, poly, width, rng, stencil) -> int:
+    """`metropolis_sweep` for U(phi) = c0 + sum_s a_s cos(s phi) + b_s sin(s phi).
+
+    With the field Z_s = sum_j w_j e^{i s phi_j} of the neighbours,
+    sum_j w_j U(x - phi_j) = c0 sum_j w_j + sum_s Re((a_s - i b_s) e^{isx} Z_s^*),
+    so dE needs e^{isx} only at the current and the proposed angle.  The
+    modes e^{is phi} of the grid are computed once per sweep and updated
+    where moves are accepted, so each phase sees the moves of the ones before.
+    """
+    modes = 1j * np.arange(1, poly.degree + 1)[:, None]
+    coef = (poly.cos_coeffs - 1j * poly.sin_coeffs)[:, None]
+    flat = cfg.grid.ravel()
+    e = np.zeros((poly.degree, flat.size + 1), dtype=complex)  # last: absent
+    e[:, :-1] = np.exp(modes * flat)
+    accepted = 0
+    for (idx, _, _), nbr in zip(stencil.phases, stencil.field_nbrs):
+        prop = _propose(flat.take(idx), width, rng)
+        e_prop = np.exp(modes * prop)
+        field = coef * e.take(nbr, axis=1).sum(axis=1).conj()
+        de = ((e_prop - e.take(idx, axis=1)) * field).real.sum(axis=0)
+        ok = np.flatnonzero(np.log(rng.random(len(idx))) < -de)
+        moved = idx.take(ok)
+        flat[moved] = prop.take(ok)
+        e[:, moved] = e_prop.take(ok, axis=1)
+        accepted += len(ok)
     return accepted
 
 
@@ -346,6 +390,8 @@ class DiscrepancyReport:
     psi: float
     discrepancy: float
     error: float
+    width: float  # tuned proposal width of the chain
+    acceptance_rate: float
 
     def row(self) -> str:
         return f"{self.n} {self.psi} {self.discrepancy:.10g} {self.error:.10g}"
@@ -358,7 +404,8 @@ def rotation_discrepancy(pot, bc, f, psi: float, n: int, sweeps: int,
     obs = {"diff": lambda cfg: f(cfg.rotated(psi)) - f(cfg)}
     stats = run_chain(pot, bc, n, sweeps, seed, observables=obs, **kw)
     mean, err = stats.errors["diff"]
-    return DiscrepancyReport(n, psi, abs(mean), err)
+    return DiscrepancyReport(n, psi, abs(mean), err, stats.width,
+                             stats.acceptance_rate)
 
 
 def two_point(pot, bc, x, y, n: int, sweeps: int, seed: int, **kw):

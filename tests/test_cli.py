@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -134,6 +135,47 @@ grid = 256
             (tmp_path / "o2" / "layers.csv").read_bytes()
         assert (tmp_path / "o1" / "summary.json").read_bytes() == \
             (tmp_path / "o2" / "summary.json").read_bytes()
+
+    def test_layers_worst_margin_is_table_maximum(self, tmp_path):
+        p = write_config(tmp_path / "c.ini", """
+[experiment]
+name = layers
+seed = 7
+out = %s
+
+[layers]
+n = 3
+orbits = 2
+kmax = 1
+grid = 256
+""" % (tmp_path / "out"))
+        run(load_config(p))
+        lines = (tmp_path / "out" / "layers.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        dev, bound = header.index("sup_dev"), header.index("bound")
+        margins = [float(c[dev]) - float(c[bound])
+                   for c in (ln.split(",") for ln in lines[1:])]
+        metrics = json.loads((tmp_path / "out" / "summary.json").read_text())["metrics"]
+        assert max(margins) < 0
+        assert metrics["worst_margin"] == pytest.approx(max(margins), abs=1e-9)
+        assert metrics["all_within_bound"] is True
+
+    def test_rotation_reports_widths_and_acceptance(self, tmp_path):
+        p = write_config(tmp_path / "c.ini", """
+[experiment]
+name = rotation
+seed = 3
+out = %s
+
+[rotation]
+ns = 2,4
+sweeps = 200
+""" % (tmp_path / "out"))
+        run(load_config(p))
+        metrics = json.loads((tmp_path / "out" / "summary.json").read_text())["metrics"]
+        assert len(metrics["widths"]) == len(metrics["acceptance_rates"]) == 2
+        assert all(1e-3 <= w <= math.pi for w in metrics["widths"])
+        assert all(0 < a < 1 for a in metrics["acceptance_rates"])
 
     def test_spinwave_energies_decrease(self, tmp_path):
         p = write_config(tmp_path / "c.ini", """

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import i0, i1
 
-from spinlab.interaction import aizenman, xy
+from spinlab import sampler
+from spinlab.interaction import TrigPolynomial, absval, aizenman, decompose, xy
 from spinlab.sampler import (
     Arcs,
     SpinConfiguration,
@@ -86,6 +90,74 @@ class TestSweep:
         assert hardcore_violations(cfg, pot, fixed_bc(0.0)) == 4
         assert hardcore_violations(cfg, pot, free_bc()) == 4
         assert hardcore_violations(SpinConfiguration(3, np.zeros((9, 9))), pot, free_bc()) == 0
+
+
+class TestLocalFieldSweep:
+    """A potential with a Fourier form takes the local-field sweep; with the
+    form dropped it takes the generic one.  On one random stream both must
+    make the same moves."""
+
+    # the smooth part of absval has degree > 1 and sin coefficients of the
+    # size of roundoff.  The tilted polynomial is not even, so it is no pair
+    # potential, but both paths take the energy of a site as sum_j U(x - phi_j),
+    # and its large sin coefficients show a wrong sign or a dropped sin term.
+    POTENTIALS = [xy(0.7), decompose(absval(), 0.5).smooth.as_potential(),
+                  TrigPolynomial(0.2, np.array([-0.8, 0.3]),
+                                 np.array([0.5, -0.2])).as_potential("tilted")]
+
+    @staticmethod
+    def _chain(pot, bc, monkeypatch):
+        counts = []
+        sweep = sampler.metropolis_sweep
+
+        def counted(*args, **kwargs):
+            counts.append(sweep(*args, **kwargs))
+            return counts[-1]
+
+        monkeypatch.setattr(sampler, "metropolis_sweep", counted)
+        stats = run_chain(pot, bc, 6, 300, seed=8, burn=0)
+        monkeypatch.undo()
+        return counts, stats.final.grid
+
+    def test_smooth_part_has_sin_coefficients(self):
+        poly = self.POTENTIALS[1].fourier
+        assert poly.degree > 1
+        assert np.any(poly.sin_coeffs != 0.0)
+
+    @pytest.mark.parametrize("bc", [fixed_bc(0.3), free_bc(), staircase_bc(12, 1)],
+                             ids=["fixed", "free", "staircase"])
+    @pytest.mark.parametrize("pot", POTENTIALS, ids=["xy", "absval_smooth", "tilted"])
+    def test_same_moves_as_generic_path(self, pot, bc, monkeypatch):
+        generic = dataclasses.replace(pot, fourier=None)
+        assert generic == pot
+        counts, grid = self._chain(pot, bc, monkeypatch)
+        generic_counts, generic_grid = self._chain(generic, bc, monkeypatch)
+        assert len(counts) > 300
+        assert counts == generic_counts
+        np.testing.assert_allclose(grid, generic_grid, rtol=0, atol=1e-12)
+
+
+class TestOneSpinBox:
+    """n = 0: one spin with four neighbours fixed at 0, so its law is
+    proportional to e^{-4 U(phi)}."""
+
+    @pytest.mark.parametrize("j", [0.3, 1.0])
+    def test_xy_against_bessel_ratio(self, j):
+        stats = run_chain(xy(j), fixed_bc(0.0), 0, 20000, seed=11,
+                          observables={"c": cos_at((0, 0))})
+        mean, err = stats.errors["c"]
+        assert abs(mean - i1(4 * j) / i0(4 * j)) < 5 * err
+
+    def test_absval_against_quadrature(self):
+        pot = absval()
+        assert pot.fourier is None
+        weight = lambda p: math.exp(-4 * abs(p))
+        exact = (quad(lambda p: math.cos(p) * weight(p), -math.pi, math.pi)[0]
+                 / quad(weight, -math.pi, math.pi)[0])
+        stats = run_chain(pot, fixed_bc(0.0), 0, 20000, seed=12,
+                          observables={"c": cos_at((0, 0))})
+        mean, err = stats.errors["c"]
+        assert abs(mean - exact) < 5 * err
 
 
 class TestDiscreteToy:
