@@ -18,6 +18,8 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,88 +42,21 @@ class ConfigError(Exception):
 # configuration
 
 
-def _int(v):
-    return int(v)
-
-
-def _float(v):
-    return float(v)
-
-
 def _int_list(v):
     return [int(x) for x in str(v).split(",") if x.strip()]
 
 
-def _str(v):
-    return str(v).strip()
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its parameter schema, runner and verify predicate.
 
+    `params` maps key -> (parser, default, predicate, hint); `run(params,
+    seed)` returns (tables, metrics); `check(outputs)` returns (ok, detail).
+    """
 
-# per-experiment parameter schema: key -> (parser, default, predicate, hint)
-PARAM_SCHEMA = {
-    "layers": {
-        "potential": (_str, "xy(1.0)", None, ""),
-        "cbar": (_float, 1.0, lambda x: x > 0, "must be positive"),
-        "n": (_int, 8, lambda x: x >= 1, "must be >= 1"),
-        "orbits": (_int, 5, lambda x: x >= 1, "must be >= 1"),
-        "kmax": (_int, 4, lambda x: x >= 0, "must be >= 0"),
-        "grid": (_int, 1024, lambda x: x >= 64, "must be >= 64"),
-    },
-    "extremal": {
-        "c": (_float, 2.0, lambda x: x >= 1, "must be >= 1"),
-        "smax": (_int, 3, lambda x: x >= 1, "must be >= 1"),
-        "grid": (_int, 4096, lambda x: x >= 64, "must be >= 64"),
-    },
-    "sparseness": {
-        "eps": (_float, 0.01, lambda x: 0 <= x < 1, "must be in [0, 1)"),
-        "alpha": (_float, 0.1, lambda x: 0 < x < 0.5, "must be in (0, 0.5)"),
-        "rho": (_float, 0.5, lambda x: 0 < x < 1, "must be in (0, 1)"),
-        "ns": (_int_list, [16], lambda xs: all(x >= 8 for x in xs), "entries must be >= 8"),
-        "samples": (_int, 20, lambda x: x >= 1, "must be >= 1"),
-    },
-    "recurrence": {
-        "kernel": (_str, "nn", None, ""),
-        "radius": (_int, 512, lambda x: x >= 1, "must be >= 1"),
-    },
-    "spinwave": {
-        "kernel": (_str, "nn", None, ""),
-        "eps": (_float, 0.2, lambda x: 0 < x < 1, "must be in (0, 1)"),
-        "inner": (_int, 2, lambda x: x >= 0, "must be >= 0"),
-        "psi": (_float, math.pi / 4, None, ""),
-        "ns": (_int_list, [16, 32], lambda xs: all(x >= 4 for x in xs), "entries must be >= 4"),
-    },
-    "entropy": {
-        "kernel": (_str, "nn", None, ""),
-        "eps": (_float, 0.2, lambda x: 0 < x < 1, "must be in (0, 1)"),
-        "inner": (_int, 2, lambda x: x >= 0, "must be >= 0"),
-        "psi": (_float, math.pi / 4, None, ""),
-        "ns": (_int_list, [16], lambda xs: all(x >= 4 for x in xs), "entries must be >= 4"),
-        "samples": (_int, 50, lambda x: x >= 2, "must be >= 2"),
-    },
-    "rotation": {
-        "potential": (_str, "xy(1.0)", None, ""),
-        "psi": (_float, math.pi / 2, None, ""),
-        "ns": (_int_list, [8, 16], lambda xs: all(x >= 2 for x in xs), "entries must be >= 2"),
-        "sweeps": (_int, 2000, lambda x: x >= 64, "must be >= 64"),
-    },
-    "twopoint": {
-        "potential": (_str, "xy(0.5)", None, ""),
-        "n": (_int, 12, lambda x: x >= 2, "must be >= 2"),
-        "distances": (_int_list, [1, 2, 4, 8], lambda xs: len(xs) >= 1, "need distances"),
-        "sweeps": (_int, 4000, lambda x: x >= 64, "must be >= 64"),
-    },
-    "aizenman": {
-        "k": (_int, 12, lambda x: x >= 9, "must be >= 9"),
-        "delta": (_float, 0.05, lambda x: 0 < x < 1, "must be in (0, 1)"),
-        "sigma": (_int, 1, lambda x: x in (0, 1, 2), "must be 0, 1, or 2"),
-        "n": (_int, 8, lambda x: x >= 1, "must be >= 1"),
-        "sweeps": (_int, 2000, lambda x: x >= 64, "must be >= 64"),
-    },
-    "decompose51": {
-        "potential": (_str, "absval", None, ""),
-        "eps": (_float, 0.5, lambda x: x > 0, "must be positive"),
-        "grid": (_int, 4096, lambda x: x >= 256, "must be >= 256"),
-    },
-}
+    params: dict
+    run: Callable
+    check: Callable
 
 
 class ExperimentConfig:
@@ -149,10 +84,10 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
         raise ConfigError(["missing [experiment] section"])
     sec = cp["experiment"]
     name = sec.get("name", "").strip()
-    if name not in PARAM_SCHEMA:
+    if name not in EXPERIMENTS:
         raise ConfigError(
             [f"experiment.name: unknown experiment {name!r}; "
-             f"choose one of {', '.join(sorted(PARAM_SCHEMA))}"])
+             f"choose one of {', '.join(sorted(EXPERIMENTS))}"])
     try:
         seed = int(sec.get("seed", "0"))
     except ValueError:
@@ -161,7 +96,7 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
     out = sec.get("out", "runs")
     params = {}
     raw = dict(cp[name]) if name in cp else {}
-    schema = PARAM_SCHEMA[name]
+    schema = EXPERIMENTS[name].params
     for key in raw:
         if key not in schema:
             errors.append(f"{name}.{key}: unknown parameter")
@@ -377,20 +312,6 @@ def _run_decompose51(p, seed):
                     "second_derivative_bound": dec.second_derivative_bound}
 
 
-RUNNERS = {
-    "layers": _run_layers,
-    "extremal": _run_extremal,
-    "sparseness": _run_sparseness,
-    "recurrence": _run_recurrence,
-    "spinwave": _run_spinwave,
-    "entropy": _run_entropy,
-    "rotation": _run_rotation,
-    "twopoint": _run_twopoint,
-    "aizenman": _run_aizenman,
-    "decompose51": _run_decompose51,
-}
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -437,7 +358,7 @@ def run(cfg: ExperimentConfig) -> dict:
     t0 = time.time()
     written = []
     try:
-        tables, metrics = RUNNERS[cfg.name](cfg.params, cfg.seed)
+        tables, metrics = EXPERIMENTS[cfg.name].run(cfg.params, cfg.seed)
         for fname, (header, rows) in tables.items():
             path = os.path.join(cfg.out, fname)
             _write_table(path, header, rows, cfg)
@@ -457,7 +378,6 @@ def run(cfg: ExperimentConfig) -> dict:
         raise
     manifest = {"config_hash": cfg.hash, "code_version": __version__,
                 "experiment": cfg.name, "seed": cfg.seed,
-                "task_seeds": [cfg.seed + i for i in range(8)],
                 "wallclock": time.time() - t0,
                 "outputs": [{"path": p, "sha256": _sha256(p)} for p in written]}
     mpath = os.path.join(cfg.out, "manifest.json")
@@ -546,17 +466,74 @@ def _check_decompose51(outputs):
     return m["ratio"] >= 1.0, f"ratio {m['ratio']:.6g}"
 
 
-CHECKS = {
-    "layers": _check_layers,
-    "extremal": _check_extremal,
-    "sparseness": _check_sparseness,
-    "recurrence": _check_recurrence,
-    "spinwave": _check_spinwave,
-    "entropy": _check_entropy,
-    "rotation": _check_rotation,
-    "twopoint": _check_twopoint,
-    "aizenman": _check_aizenman,
-    "decompose51": _check_decompose51,
+# ---------------------------------------------------------------------------
+# the registry: schema, runner and predicate of every experiment
+
+
+EXPERIMENTS = {
+    "layers": Experiment({
+        "potential": (str, "xy(1.0)", None, ""),
+        "cbar": (float, 1.0, lambda x: x > 0, "must be positive"),
+        "n": (int, 8, lambda x: x >= 1, "must be >= 1"),
+        "orbits": (int, 5, lambda x: x >= 1, "must be >= 1"),
+        "kmax": (int, 4, lambda x: x >= 0, "must be >= 0"),
+        "grid": (int, 1024, lambda x: x >= 64, "must be >= 64"),
+    }, _run_layers, _check_layers),
+    "extremal": Experiment({
+        "c": (float, 2.0, lambda x: x >= 1, "must be >= 1"),
+        "smax": (int, 3, lambda x: x >= 1, "must be >= 1"),
+        "grid": (int, 4096, lambda x: x >= 64, "must be >= 64"),
+    }, _run_extremal, _check_extremal),
+    "sparseness": Experiment({
+        "eps": (float, 0.01, lambda x: 0 <= x < 1, "must be in [0, 1)"),
+        "alpha": (float, 0.1, lambda x: 0 < x < 0.5, "must be in (0, 0.5)"),
+        "rho": (float, 0.5, lambda x: 0 < x < 1, "must be in (0, 1)"),
+        "ns": (_int_list, [16], lambda xs: all(x >= 8 for x in xs), "entries must be >= 8"),
+        "samples": (int, 20, lambda x: x >= 1, "must be >= 1"),
+    }, _run_sparseness, _check_sparseness),
+    "recurrence": Experiment({
+        "kernel": (str, "nn", None, ""),
+        "radius": (int, 512, lambda x: x >= 1, "must be >= 1"),
+    }, _run_recurrence, _check_recurrence),
+    "spinwave": Experiment({
+        "kernel": (str, "nn", None, ""),
+        "eps": (float, 0.2, lambda x: 0 < x < 1, "must be in (0, 1)"),
+        "inner": (int, 2, lambda x: x >= 0, "must be >= 0"),
+        "psi": (float, math.pi / 4, None, ""),
+        "ns": (_int_list, [16, 32], lambda xs: all(x >= 4 for x in xs), "entries must be >= 4"),
+    }, _run_spinwave, _check_spinwave),
+    "entropy": Experiment({
+        "kernel": (str, "nn", None, ""),
+        "eps": (float, 0.2, lambda x: 0 < x < 1, "must be in (0, 1)"),
+        "inner": (int, 2, lambda x: x >= 0, "must be >= 0"),
+        "psi": (float, math.pi / 4, None, ""),
+        "ns": (_int_list, [16], lambda xs: all(x >= 4 for x in xs), "entries must be >= 4"),
+        "samples": (int, 50, lambda x: x >= 2, "must be >= 2"),
+    }, _run_entropy, _check_entropy),
+    "rotation": Experiment({
+        "potential": (str, "xy(1.0)", None, ""),
+        "psi": (float, math.pi / 2, None, ""),
+        "ns": (_int_list, [8, 16], lambda xs: all(x >= 2 for x in xs), "entries must be >= 2"),
+        "sweeps": (int, 2000, lambda x: x >= 64, "must be >= 64"),
+    }, _run_rotation, _check_rotation),
+    "twopoint": Experiment({
+        "potential": (str, "xy(0.5)", None, ""),
+        "n": (int, 12, lambda x: x >= 2, "must be >= 2"),
+        "distances": (_int_list, [1, 2, 4, 8], lambda xs: len(xs) >= 1, "need distances"),
+        "sweeps": (int, 4000, lambda x: x >= 64, "must be >= 64"),
+    }, _run_twopoint, _check_twopoint),
+    "aizenman": Experiment({
+        "k": (int, 12, lambda x: x >= 9, "must be >= 9"),
+        "delta": (float, 0.05, lambda x: 0 < x < 1, "must be in (0, 1)"),
+        "sigma": (int, 1, lambda x: x in (0, 1, 2), "must be 0, 1, or 2"),
+        "n": (int, 8, lambda x: x >= 1, "must be >= 1"),
+        "sweeps": (int, 2000, lambda x: x >= 64, "must be >= 64"),
+    }, _run_aizenman, _check_aizenman),
+    "decompose51": Experiment({
+        "potential": (str, "absval", None, ""),
+        "eps": (float, 0.5, lambda x: x > 0, "must be positive"),
+        "grid": (int, 4096, lambda x: x >= 256, "must be >= 256"),
+    }, _run_decompose51, _check_decompose51),
 }
 
 
@@ -594,14 +571,13 @@ def verify(manifest_path: str) -> list:
                          "detail": "hash ok"})
         outputs[name] = path
     exp = manifest.get("experiment")
-    check = CHECKS.get(exp)
-    if check is not None:
+    if exp in EXPERIMENTS:
         if "summary.json" not in outputs or not any(n.endswith(".csv") for n in outputs):
             verdicts.append({"criterion": f"predicate:{exp}", "status": "missing",
                              "detail": "outputs incomplete"})
         else:
             try:
-                ok, detail = check(outputs)
+                ok, detail = EXPERIMENTS[exp].check(outputs)
                 verdicts.append({"criterion": f"predicate:{exp}",
                                  "status": "pass" if ok else "fail",
                                  "detail": detail})
@@ -620,7 +596,7 @@ def _cmd_presets() -> int:
 
     print("potentials: " + ", ".join(sorted(_PRESETS)))
     print("kernels: nn, powerlaw(s), logcorr(p), logcorr_eps(p, eps)")
-    print("experiments: " + ", ".join(sorted(RUNNERS)))
+    print("experiments: " + ", ".join(sorted(EXPERIMENTS)))
     return EXIT_OK
 
 

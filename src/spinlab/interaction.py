@@ -144,15 +144,6 @@ class TrigPolynomial:
                              second_derivative_bound=second_derivative_bound(self),
                              fourier=self)
 
-    def coefficient_lines(self) -> str:
-        """Plain-text export: one 'index value' pair per line (sin indices
-        are negative)."""
-        lines = [f"0 {float(self.c0)!r}"]
-        for s in range(1, self.degree + 1):
-            lines.append(f"{s} {float(self.cos_coeffs[s - 1])!r}")
-            lines.append(f"{-s} {float(self.sin_coeffs[s - 1])!r}")
-        return "\n".join(lines) + "\n"
-
 
 def second_derivative_bound(poly: TrigPolynomial) -> float:
     """Certified upper bound for U'': sum over modes of s^2 * amplitude."""

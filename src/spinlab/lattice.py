@@ -3,12 +3,14 @@
 Sites are integer pairs ``(x1, x2)``.  Dual sites ("d-sites") are encoded as
 integer pairs ``(a, b)`` standing for the half-integer point
 ``(a + 1/2, b + 1/2)``.  A d-bond between two adjacent d-sites crosses exactly
-one primal bond; :func:`crossed_bond` is the exported crossing map.
+one primal bond; :func:`crossed_bond` is the crossing map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 Site = tuple[int, int]
 Bond = tuple[Site, Site]
@@ -18,6 +20,12 @@ DBond = tuple[DSite, DSite]
 
 def sup_norm(x: Site) -> int:
     return max(abs(x[0]), abs(x[1]))
+
+
+def sup_grid(m: int) -> np.ndarray:
+    """sup_norm of every site of the box of radius m, index [x1 + m, x2 + m]."""
+    ax = np.abs(np.arange(-m, m + 1))
+    return np.maximum.outer(ax, ax)
 
 
 def box_sites(n: int):

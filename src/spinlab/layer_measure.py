@@ -137,9 +137,6 @@ class CircleDensity:
         """a_s = (1/2pi) int q(t) e^{ist} dt, via the discrete transform."""
         return complex(self._coeffs[s % self.grid_size])
 
-    def fourier_table(self, s_max: int) -> np.ndarray:
-        return np.array([self.fourier(s) for s in range(-s_max, s_max + 1)])
-
     @property
     def max_value(self) -> float:
         return float(np.max(self.values))
@@ -274,21 +271,6 @@ class BoundParams:
     @classmethod
     def from_smoothness(cls, c_bar: float) -> "BoundParams":
         return cls(density_cap_constant(c_bar))
-
-
-def export_density(d: CircleDensity) -> str:
-    """Two-column text: angle, density value."""
-    t = circle_grid(d.grid_size)
-    return "\n".join(f"{a:.12g} {v:.12g}" for a, v in zip(t, d.values)) + "\n"
-
-
-def export_fourier(d: CircleDensity, s_max: int) -> str:
-    """Rows of (mode, real, imaginary)."""
-    lines = []
-    for s in range(-s_max, s_max + 1):
-        a = d.fourier(s)
-        lines.append(f"{s} {a.real:.12g} {a.imag:.12g}")
-    return "\n".join(lines) + "\n"
 
 
 def extremal_fourier_oracle(cap: float, s: int, m: int = DEFAULT_GRID):

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
+from .lattice import sup_grid
+
 DEFAULT_RADIUS = 512
 
 
@@ -200,8 +202,7 @@ class WalkKernel:
                 if max(abs(x), abs(y)) <= radius:
                     g[x + radius, y + radius] = v
         else:
-            xs = np.arange(-radius, radius + 1)
-            sup = np.maximum.outer(np.abs(xs), np.abs(xs))
+            sup = sup_grid(radius)
             rmax = min(radius, len(self.kernel.rings) - 1)
             for r in range(1, rmax + 1):
                 g[sup == r] = self.kernel.rings[r]
@@ -314,14 +315,6 @@ class RecurrenceReport:
     verdict: str
     fit: dict
     periodic: bool = False
-
-    def rows(self):
-        return list(zip(self.rhos, self.values))
-
-    def export(self) -> str:
-        lines = [f"{r:.8g} {v:.10g}" for r, v in self.rows()]
-        lines.append(f"verdict {self.verdict}")
-        return "\n".join(lines) + "\n"
 
 
 def _outer_integral(walk, rho0: float, n_grid: int) -> float:

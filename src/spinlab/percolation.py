@@ -388,13 +388,3 @@ def block_site_field(a_sites, r_lam: int, n: int,
             good[z] = False
     bound = block_domination_density(eps, r_lam) if eps is not None else math.nan
     return SitePercolationField(r_lam, good, bound)
-
-
-def export_certificate(cert: SparsenessCertificate) -> str:
-    """One circuit per record: scale, length, d-site list."""
-    lines = [f"value {cert.value:.12g} threshold {cert.threshold:.12g} "
-             f"verdict {int(cert.verdict)}"]
-    for k, circ in cert.circuits:
-        pts = " ".join(f"{a},{b}" for a, b in circ.dsites)
-        lines.append(f"scale {k} length {len(circ)} dsites {pts}")
-    return "\n".join(lines) + "\n"

@@ -19,9 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .interaction import PairPotential, circle_dist, wrap_angle
-
-TWO_PI = 2.0 * math.pi
+from .interaction import TWO_PI, PairPotential, circle_dist, wrap_angle
+from .lattice import sup_grid
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +110,27 @@ def initial_configuration(bc: BoundaryCondition, n: int, rng) -> SpinConfigurati
     return SpinConfiguration(n, grid)
 
 
-def hamiltonian(cfg: SpinConfiguration, pot: PairPotential,
-                bc: BoundaryCondition) -> float:
-    """Sum of U over nearest-neighbor bonds with at least one interior
-    endpoint (free bc: both endpoints interior)."""
-    g = cfg.grid
-    s = g.shape[0]
-    sup = _sup(cfg.n + 1)
-    interior = sup <= cfg.n
-    total = 0.0
+def _bonds(cfg: SpinConfiguration, bc: BoundaryCondition):
+    """Per axis, the angle differences across the grid's nearest-neighbor
+    bonds and the mask of the bonds `hamiltonian` counts."""
+    interior = sup_grid(cfg.n + 1) <= cfg.n
     for axis in (0, 1):
-        a = np.moveaxis(g, axis, 0)
+        a = np.moveaxis(cfg.grid, axis, 0)
         ia = np.moveaxis(interior, axis, 0)
-        diff = a[1:] - a[:-1]
         if bc.kind == "free":
             w = ia[1:] & ia[:-1]
         else:
             w = ia[1:] | ia[:-1]
-        vals = pot(diff)
-        total += float(np.sum(np.where(w, vals, 0.0)))
+        yield a[1:] - a[:-1], w
+
+
+def hamiltonian(cfg: SpinConfiguration, pot: PairPotential,
+                bc: BoundaryCondition) -> float:
+    """Sum of U over nearest-neighbor bonds with at least one interior
+    endpoint (free bc: both endpoints interior)."""
+    total = 0.0
+    for diff, w in _bonds(cfg, bc):
+        total += float(np.sum(np.where(w, pot(diff), 0.0)))
     return total
 
 
@@ -137,25 +138,10 @@ def hardcore_violations(cfg: SpinConfiguration, pot: PairPotential,
                         bc: BoundaryCondition) -> int:
     if not pot.is_hard_core:
         return 0
-    g = cfg.grid
-    sup = _sup(cfg.n + 1)
-    interior = sup <= cfg.n
     bad = 0
-    for axis in (0, 1):
-        a = np.moveaxis(g, axis, 0)
-        ia = np.moveaxis(interior, axis, 0)
-        diff = circle_dist(a[1:] - a[:-1])
-        if bc.kind == "free":
-            w = ia[1:] & ia[:-1]
-        else:
-            w = ia[1:] | ia[:-1]
-        bad += int(np.sum(w & (diff > pot.cutoff + 1e-12)))
+    for diff, w in _bonds(cfg, bc):
+        bad += int(np.sum(w & (circle_dist(diff) > pot.cutoff + 1e-12)))
     return bad
-
-
-def _sup(m: int) -> np.ndarray:
-    ax = np.arange(-m, m + 1)
-    return np.maximum.outer(np.abs(ax), np.abs(ax))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +163,7 @@ class _Stencil:
         self.n = n
         s = 2 * n + 3
         self.size = s
-        sup = _sup(n + 1)
+        sup = sup_grid(n + 1)
         interior = sup <= n
         xs, ys = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
         flat = xs * s + ys
@@ -392,9 +378,6 @@ class DiscrepancyReport:
     error: float
     width: float  # tuned proposal width of the chain
     acceptance_rate: float
-
-    def row(self) -> str:
-        return f"{self.n} {self.psi} {self.discrepancy:.10g} {self.error:.10g}"
 
 
 def rotation_discrepancy(pot, bc, f, psi: float, n: int, sweeps: int,
@@ -719,14 +702,6 @@ class StateReport:
     def origin_modulus(self) -> float:
         return float(np.abs(self.magnetization[self.n, self.n]))
 
-    def rows(self) -> str:
-        lines = []
-        for x in range(-self.n, self.n + 1):
-            for y in range(-self.n, self.n + 1):
-                m = self.magnetization[x + self.n, y + self.n]
-                lines.append(f"{x} {y} {m.real:.10g} {m.imag:.10g} {abs(m):.10g}")
-        return "\n".join(lines) + "\n"
-
 
 def sample_state(pot: PairPotential, bc: BoundaryCondition, n: int,
                  sweeps: int, seed: int, ring_arcs=None, init=None,
@@ -868,7 +843,7 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
 
 
 # ---------------------------------------------------------------------------
-# discrete toy systems (exact detailed-balance and stationarity checks)
+# discrete toy systems (exact detailed-balance check)
 
 
 def discrete_metropolis_matrix(energies: np.ndarray) -> np.ndarray:
@@ -882,39 +857,3 @@ def discrete_metropolis_matrix(energies: np.ndarray) -> np.ndarray:
                 p[i, j] = accept_probability(energies[j] - energies[i]) / m
         p[i, i] = 1.0 - p[i].sum()
     return p
-
-
-def exact_discrete_toy(m: int, j: float) -> np.ndarray:
-    """Exact stationary law of the m-state XY toy on a 2x2 box, free bc."""
-    angles = TWO_PI * np.arange(m) / m
-    states = np.stack(np.meshgrid(*[angles] * 4, indexing="ij"), axis=-1)
-    a, b, c, d = (states[..., i] for i in range(4))
-    # sites (0,0)=a, (0,1)=b, (1,0)=c, (1,1)=d; four bonds of the square
-    h = -j * (np.cos(a - b) + np.cos(a - c) + np.cos(b - d) + np.cos(c - d))
-    w = np.exp(-h).ravel()  # flat index ((a*m + b)*m + c)*m + d
-    return w / w.sum()
-
-
-def sample_discrete_toy(m: int, j: float, sweeps: int, replicas: int,
-                        seed: int, burn: int = 200) -> np.ndarray:
-    """Empirical stationary law of the same toy from parallel single-site
-    Metropolis chains using `accept_probability`."""
-    rng = np.random.default_rng(seed)
-    angles = TWO_PI * np.arange(m) / m
-    state = rng.integers(0, m, size=(replicas, 4))
-    nbrs = [(1, 2), (0, 3), (0, 3), (1, 2)]
-    counts = np.zeros(m ** 4)
-    for t in range(burn + sweeps):
-        for site in range(4):
-            prop = rng.integers(0, m, size=replicas)
-            cur = state[:, site]
-            de = np.zeros(replicas)
-            for q in nbrs[site]:
-                de += -j * (np.cos(angles[prop] - angles[state[:, q]])
-                            - np.cos(angles[cur] - angles[state[:, q]]))
-            ok = rng.random(replicas) < accept_probability(de)
-            state[ok, site] = prop[ok]
-        if t >= burn:
-            code = ((state[:, 0] * m + state[:, 1]) * m + state[:, 2]) * m + state[:, 3]
-            counts += np.bincount(code, minlength=m ** 4)
-    return counts / counts.sum()

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator, cg
 
+from .lattice import sup_grid
 from .longrange_walk import WalkKernel, connectivity_bound
 
 
@@ -43,19 +44,6 @@ class SpinWaveField:
     def at(self, x) -> float:
         return float(self.values[x[0] + self.margin, x[1] + self.margin])
 
-    def export(self) -> str:
-        m = self.margin
-        lines = []
-        for x in range(-self.n, self.n + 1):
-            for y in range(-self.n, self.n + 1):
-                lines.append(f"{x} {y} {self.values[x + m, y + m]:.10g}")
-        return "\n".join(lines) + "\n"
-
-
-def _sup_grid(margin: int) -> np.ndarray:
-    ax = np.arange(-margin, margin + 1)
-    return np.maximum.outer(np.abs(ax), np.abs(ax))
-
 
 def solve_spinwave(walk: WalkKernel, n: int, inner: int, psi: float,
                    eps: float = 0.2, tol: float = 1e-9,
@@ -69,7 +57,7 @@ def solve_spinwave(walk: WalkKernel, n: int, inner: int, psi: float,
         cgrid = conductance_grid(walk, eps)
     k = (cgrid.shape[0] - 1) // 2
     margin = n + k
-    sup = _sup_grid(margin)
+    sup = sup_grid(margin)
     free = (sup > inner) & (sup <= n)
     fixed = np.where(sup <= inner, psi, 0.0)
     c_tot = float(cgrid.sum())
@@ -103,7 +91,7 @@ def dirichlet_energy(wave: SpinWaveField, weights: np.ndarray = None) -> float:
     conv_v = fftconvolve(v, c, mode="same")
     conv_v2 = fftconvolve(v * v, c, mode="same")
     local = c_tot * v * v - 2.0 * v * conv_v + conv_v2
-    box = _sup_grid(wave.margin) <= wave.n
+    box = sup_grid(wave.margin) <= wave.n
     return float(np.sum(local[box]))
 
 
@@ -119,7 +107,7 @@ def compute_R_delta(v_sites, delta: float, eps: float, walk: WalkKernel,
     v_sites = list(v_sites)
     rho = max(1, max((max(abs(x[0]), abs(x[1])) for x in v_sites), default=1))
     d = connectivity_bound(walk, eps, radius=radius)
-    sup = _sup_grid(d.radius)
+    sup = sup_grid(d.radius)
     ring_mass = np.bincount(sup.ravel(), weights=d.grid.ravel())
     leak = d.c_bound - d.total  # mass beyond the truncation radius
     target = delta / (2.0 * f_sup)
@@ -231,7 +219,7 @@ def entropy_bound(deformed: DeformedSpinWave, j_grid: np.ndarray,
     """Quadratic form c1 sum J(x-y) (tilde Psi(x) - tilde Psi(y))^2 over x in
     the box, and its three-term Jensen decomposition."""
     wave = deformed.base
-    box = _sup_grid(wave.margin) <= wave.n
+    box = sup_grid(wave.margin) <= wave.n
     psi = wave.values
     tpsi = deformed.values
     j_tot = float(j_grid.sum())
@@ -290,10 +278,6 @@ class EntropyReport:
     cluster_mean: float
     cluster_comparison: float
     smooth_term: float
-
-    def row(self) -> str:
-        return (f"{self.n} {self.eps} {self.mean:.10g} "
-                f"{self.ci[0]:.10g} {self.ci[1]:.10g}")
 
 
 def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,

@@ -4,7 +4,21 @@ import os
 
 import pytest
 
-from spinlab.cli import ConfigError, load_config, main, run, verify
+from spinlab.cli import EXPERIMENTS, ConfigError, load_config, main, run, verify
+
+# the smallest config of each experiment that still exercises its runner
+TINY = {
+    "layers": "n = 3\norbits = 1\nkmax = 1\ngrid = 256",
+    "extremal": "smax = 1\ngrid = 256",
+    "sparseness": "ns = 8\nsamples = 2",
+    "recurrence": "kernel = nn\nradius = 128",
+    "spinwave": "ns = 6,8",
+    "entropy": "ns = 6\nsamples = 4",
+    "rotation": "ns = 2\nsweeps = 64",
+    "twopoint": "n = 4\ndistances = 1,2\nsweeps = 64",
+    "aizenman": "n = 2\nsweeps = 64",
+    "decompose51": "grid = 256",
+}
 
 
 def write_config(path, body):
@@ -280,6 +294,30 @@ sweeps = 100
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
         assert "xy" in out and "nn" in out
+        listed = [ln for ln in out.splitlines() if ln.startswith("experiments: ")]
+        assert listed == ["experiments: " + ", ".join(sorted(TINY))]
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_run_and_verify_each_experiment(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "c.ini", f"""
+[experiment]
+name = {name}
+out = {out}
+
+[{name}]
+{TINY[name]}
+""")
+        assert main(["run", "--config", p]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"config_hash", "code_version", "experiment",
+                                 "seed", "wallclock", "outputs"}
+        capsys.readouterr()
+        main(["verify", "--manifest", str(out / "manifest.json")])
+        verdicts = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        outputs = [v for v in verdicts if v["criterion"].startswith("output:")]
+        assert len(outputs) == len(manifest["outputs"]) >= 2
+        assert all(v["status"] == "pass" for v in outputs)
 
 
 class TestVerify:

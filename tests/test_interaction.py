@@ -88,14 +88,6 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(absval(), eps=1e-9, max_degree=4)
 
-    def test_coefficient_export(self):
-        dec = decompose(xy(1.0), eps=0.1)
-        text = dec.smooth.coefficient_lines()
-        lines = text.strip().splitlines()
-        idx, val = lines[1].split()
-        assert int(idx) == 1
-        assert float(val) == pytest.approx(-1.0, abs=1e-12)
-
 
 class TestSecondDerivativeBound:
     def test_pure_cosine(self):

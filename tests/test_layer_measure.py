@@ -276,24 +276,6 @@ class TestUniformityBound:
 
 
 class TestExports:
-    def test_density_roundtrip(self):
-        from spinlab.layer_measure import export_density
-        t = circle_grid(64)
-        q = CircleDensity(1.0 + 0.2 * np.cos(t))
-        lines = export_density(q).strip().splitlines()
-        assert len(lines) == 64
-        a, v = map(float, lines[0].split())
-        assert a == 0.0 and v == pytest.approx(1.2)
-
-    def test_fourier_rows(self):
-        from spinlab.layer_measure import export_fourier
-        t = circle_grid(64)
-        q = CircleDensity(1.0 + 0.2 * np.cos(t))
-        rows = export_fourier(q, 1).strip().splitlines()
-        assert len(rows) == 3
-        s, re, im = rows[2].split()
-        assert int(s) == 1 and float(re) == pytest.approx(0.1) and abs(float(im)) < 1e-12
-
     def test_bound_params(self):
         from spinlab.layer_measure import BoundParams
         bp = BoundParams.from_smoothness(1.0)

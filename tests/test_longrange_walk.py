@@ -248,11 +248,3 @@ class TestRecurrence:
         rep = recurrence_classify(normalize(k))
         assert rep.verdict == "inconclusive"
         assert rep.periodic
-
-    def test_report_export(self):
-        rep = recurrence_classify(normalize(nn_kernel()))
-        lines = rep.export().strip().splitlines()
-        assert lines[-1] == "verdict recurrent"
-        rho, val = lines[0].split()
-        assert float(rho) == pytest.approx(rep.rhos[0])
-        assert float(val) == pytest.approx(rep.values[0])

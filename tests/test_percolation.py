@@ -14,7 +14,6 @@ from spinlab.percolation import (
     derive_tau,
     edge_disjoint_flow,
     estimate_sparseness_failure,
-    export_certificate,
     recommended_eps,
     sample_bernoulli,
     sample_coupling_weighted,
@@ -282,15 +281,6 @@ class TestSparseness:
     def test_tau_formula(self):
         assert derive_tau(0.1, 0.5) == pytest.approx(
             0.1 ** 2 * 0.5 / (256 * math.log(2)))
-
-    def test_export(self):
-        cert = sparseness_certificate(set(), n=16, rho=0.5, alpha=0.1)
-        text = export_certificate(cert)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("value ")
-        assert "verdict 1" in lines[0]
-        assert all(l.startswith("scale ") for l in lines[1:])
-        assert len(lines) == 1 + len(cert.circuits)
 
 
 class TestFailureEstimate:

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from scipy.special import i0, i1
 
 from spinlab import sampler
-from spinlab.interaction import TrigPolynomial, absval, aizenman, decompose, xy
+from spinlab.interaction import (TrigPolynomial, absval, aizenman, decompose,
+                                 wrap_angle, xy)
 from spinlab.sampler import (
     Arcs,
     SpinConfiguration,
@@ -16,7 +17,6 @@ from spinlab.sampler import (
     boundary_ring,
     cos_at,
     discrete_metropolis_matrix,
-    exact_discrete_toy,
     feasibility,
     feasible_point,
     fixed_bc,
@@ -27,7 +27,6 @@ from spinlab.sampler import (
     power_law_fit,
     rotation_discrepancy,
     run_chain,
-    sample_discrete_toy,
     sample_state,
     smeared_bc,
     staircase_angle,
@@ -138,8 +137,8 @@ class TestLocalFieldSweep:
 
 
 class TestOneSpinBox:
-    """n = 0: one spin with four neighbours fixed at 0, so its law is
-    proportional to e^{-4 U(phi)}."""
+    """n = 0: one spin with four fixed neighbours at angles a_j, so its law
+    is proportional to e^{-sum_j U(phi - a_j)}."""
 
     @pytest.mark.parametrize("j", [0.3, 1.0])
     def test_xy_against_bessel_ratio(self, j):
@@ -148,13 +147,26 @@ class TestOneSpinBox:
         mean, err = stats.errors["c"]
         assert abs(mean - i1(4 * j) / i0(4 * j)) < 5 * err
 
-    def test_absval_against_quadrature(self):
-        pot = absval()
-        assert pot.fourier is None
-        weight = lambda p: math.exp(-4 * abs(p))
-        exact = (quad(lambda p: math.cos(p) * weight(p), -math.pi, math.pi)[0]
-                 / quad(weight, -math.pi, math.pi)[0])
-        stats = run_chain(pot, fixed_bc(0.0), 0, 20000, seed=12,
+    @pytest.mark.parametrize("pot, bc", [
+        (absval(), fixed_bc(0.0)),
+        (aizenman(0.5), fixed_bc(0.0)),
+        (absval(), staircase_bc(12, 1)),
+        (xy(1.0), staircase_bc(12, 2)),
+    ], ids=["absval-fixed", "aizenman-fixed", "absval-staircase1",
+            "xy-staircase2"])
+    def test_against_quadrature(self, pot, bc):
+        # generic path, generic path with its hard-core rejection, generic
+        # path with neighbours at 0, 0 and +-theta, local-field path
+        nbrs = [float(staircase_angle(bc, x2)) for x2 in (0, 0, 1, -1)] \
+            if bc.kind == "staircase" else [bc.value] * 4
+        weight = lambda p: math.exp(-sum(float(pot(p - a)) for a in nbrs))
+        # kinks of U at the neighbours, or the edges of the hard core
+        offsets = (0.0,) if pot.cutoff is None else (-pot.cutoff, pot.cutoff)
+        kinks = sorted({float(wrap_angle(a + d)) for a in nbrs for d in offsets})
+        exact = (quad(lambda p: math.cos(p) * weight(p), -math.pi, math.pi,
+                      points=kinks)[0]
+                 / quad(weight, -math.pi, math.pi, points=kinks)[0])
+        stats = run_chain(pot, bc, 0, 20000, seed=12,
                           observables={"c": cos_at((0, 0))})
         mean, err = stats.errors["c"]
         assert abs(mean - exact) < 5 * err
@@ -170,13 +182,6 @@ class TestDiscreteToy:
         assert np.max(np.abs(flow - flow.T)) < 1e-12
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
         assert np.max(np.abs(pi @ p - pi)) < 1e-12
-
-    def test_stationary_law_matches_enumeration(self):
-        # 8 states on a 2x2 box: empirical law vs exhaustive enumeration
-        exact = exact_discrete_toy(8, 1.0)
-        emp = sample_discrete_toy(8, 1.0, sweeps=600, replicas=50000, seed=3)
-        tv = 0.5 * float(np.abs(emp - exact).sum())
-        assert tv < 1e-2
 
 
 class TestEstimators:
@@ -356,11 +361,3 @@ class TestAizenmanState:
         rep = aizenman_state(12, 0.05, 1, 8, 4000, seed=4)
         assert rep.covariance_gap < 0.02
         assert rep.covariance_error < rep.covariance_gap + 0.02
-
-    def test_rows_format(self):
-        rep = aizenman_state(12, 0.05, 1, 2, 500, seed=9)
-        lines = rep.state.rows().strip().splitlines()
-        assert len(lines) == 5 * 5
-        x, y, re, im, mod = lines[0].split()
-        assert (int(x), int(y)) == (-2, -2)
-        assert float(mod) == pytest.approx(math.hypot(float(re), float(im)))

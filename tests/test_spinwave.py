@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinlab.lattice import sup_grid
 from spinlab.longrange_walk import (
     connectivity_bound,
     nn_kernel,
@@ -12,7 +13,6 @@ from spinlab.longrange_walk import (
 from spinlab.spinwave import (
     DeformedSpinWave,
     SpinWaveField,
-    _sup_grid,
     cluster_reach,
     compute_R_delta,
     conductance_grid,
@@ -108,7 +108,7 @@ class TestDirichletEnergy:
         cgrid = conductance_grid(nn_walk, 0.3, radius=3)
         n, margin = 4, 7
         values = np.zeros((2 * margin + 1, 2 * margin + 1))
-        box = _sup_grid(margin) <= n
+        box = sup_grid(margin) <= n
         values[box] = rng.uniform(0, 1, size=int(box.sum()))
         wave = SpinWaveField(n, 1, 1.0, values, margin, cgrid, 0.0)
         direct = 0.0
@@ -145,7 +145,7 @@ class TestDirichletEnergy:
 class TestRDelta:
     def test_inequality_tight(self, nn_walk):
         d = connectivity_bound(nn_walk, 0.2)
-        sup = _sup_grid(d.radius)
+        sup = sup_grid(d.radius)
         leak = d.c_bound - d.total
         for delta in (0.5, 0.05, 0.005):
             r = compute_R_delta([(0, 0)], delta, 0.2, nn_walk, 1.0)
@@ -306,9 +306,6 @@ class TestExpectedEntropy:
         assert rep.gated_fraction == 0.0
         # connection probabilities are dominated by d_eps
         assert rep.cluster_mean <= rep.cluster_comparison
-        parts = rep.row().split()
-        assert int(parts[0]) == 8
-        assert float(parts[2]) == pytest.approx(rep.mean)
 
     def test_larger_box_smaller_entropy(self, nn_walk):
         small = expected_entropy(nn_walk, 0.2, 8, 2, math.pi / 4, 60, seed=1)
