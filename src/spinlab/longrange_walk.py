@@ -3,18 +3,31 @@
 The walk with transitions j(x) = J_x is classified through the integral
 I(rho) = int over the torus minus a ball of radius rho of d(theta)/(1 - phi),
 phi being the characteristic function; divergence as rho -> 0 means
-recurrence.  The connectivity walk Y has transitions proportional to
-d_eps(x) = sum over n of eps^n j^(n)(x), whose characteristic function is the
-exact resolvent expression phi (1 - eps) / (1 - eps phi).
+recurrence (Spitzer's criterion).  The connectivity walk Y has transitions
+proportional to d_eps(x) = sum over n of eps^n j^(n)(x), whose characteristic
+function is the exact resolvent expression phi (1 - eps) / (1 - eps phi).
 
-Kernels uniform on sup-norm rings admit closed-form ring sums via Dirichlet
-kernels, which keeps the quadrature exact for the truncated kernel.
+The quadrature of I(rho) takes phi from two exact shortcuts:
+
+- Outer grid (`WalkKernel.midpoint_grid`): on the midpoints
+  theta_k = -pi + 2 pi (k + 1/2) / N of each axis, e^{i theta_k x} is
+  e^{2 pi i k x / N} times a phase in x alone, so phi on the whole N x N grid
+  is one 2-D FFT of the phased kernel folded mod N, for any kernel radius.
+- Annulus (`_annulus_integral`): the polar angles 2 pi (k + 1/2) / 96 split
+  into 12 orbits of 8 under the symmetries of the square, none of them on a
+  mirror axis.  For a kernel invariant under those symmetries
+  (`WalkKernel.square_symmetric`) phi is constant on each orbit, so one
+  octant times 8 is the full circle.
+
+The annulus points and the half-period probes use `char_function`, which sums
+kernels uniform on sup-norm rings in closed form through Dirichlet kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -192,6 +205,30 @@ class WalkKernel:
             out[i:i + chunk] = s @ j
         return out.reshape(t1.shape)
 
+    def midpoint_grid(self, n_grid: int) -> np.ndarray:
+        """phi at (theta_k1, theta_k2), theta_k = -pi + 2 pi (k + 1/2) / n_grid.
+
+        With alpha = pi (1/n_grid - 1), theta_k x = 2 pi k x / n_grid + alpha x,
+        so the grid is the inverse 2-D DFT of j(x) e^{i alpha (x1 + x2)} folded
+        mod n_grid.  The fold is exact for any radius: writing
+        x = m + q n_grid, e^{i alpha x} = e^{i alpha m} (-1)^{(n_grid - 1) q}.
+        """
+        r = self.radius
+        x = np.arange(-r, r + 1)
+        q, m = np.divmod(x, n_grid)
+        fold = np.zeros((n_grid, x.size))
+        fold[m, np.arange(x.size)] = np.where((n_grid - 1) * q % 2, -1.0, 1.0)
+        folded = fold @ self.grid_values() @ fold.T
+        phase = np.exp(1j * math.pi * (1.0 / n_grid - 1.0) * np.arange(n_grid))
+        return np.fft.ifft2(phase[:, None] * folded * phase, norm="forward").real
+
+    @cached_property
+    def square_symmetric(self) -> bool:
+        """j is exactly invariant under x1 <-> x2 and x1 -> -x1, hence under
+        all eight symmetries of the square, and so is phi."""
+        g = self.grid_values()
+        return bool(np.array_equal(g, g.T) and np.array_equal(g, g[::-1]))
+
     def grid_values(self, radius: int = None) -> np.ndarray:
         """j on the square grid [-radius, radius]^2, index [x+radius, y+radius]."""
         if radius is None:
@@ -227,9 +264,21 @@ class YWalkKernel(WalkKernel):
         self.base = base
         self.eps = eps
 
-    def char_function(self, theta: np.ndarray) -> np.ndarray:
-        phi = self.base.char_function(theta)
+    def _resolvent(self, phi):
         return phi * (1.0 - self.eps) / (1.0 - self.eps * phi)
+
+    def char_function(self, theta: np.ndarray) -> np.ndarray:
+        return self._resolvent(self.base.char_function(theta))
+
+    def midpoint_grid(self, n_grid: int) -> np.ndarray:
+        return self._resolvent(self.base.midpoint_grid(n_grid))
+
+    @property
+    def square_symmetric(self) -> bool:
+        # phi_Y is a function of the base's phi, so it has the base's
+        # symmetries exactly; the truncated d_eps grid has them only up to
+        # the FFT rounding of its convolutions
+        return self.base.square_symmetric
 
 
 @dataclass
@@ -315,12 +364,11 @@ class RecurrenceReport:
 
 
 def _outer_integral(walk, rho0: float) -> tuple[float, float]:
+    # midpoint rule on the n_grid^2 cells of the torus, phi from one FFT
     n_grid = 256
     t = -math.pi + 2 * math.pi * (np.arange(n_grid) + 0.5) / n_grid
     tx, ty = np.meshgrid(t, t, indexing="ij")
-    pts = np.stack([tx, ty], axis=-1)
-    phi = walk.char_function(pts)
-    gap = 1.0 - phi
+    gap = 1.0 - walk.midpoint_grid(n_grid)
     mask = tx ** 2 + ty ** 2 > rho0 ** 2
     cell = (2 * math.pi / n_grid) ** 2
     vals = np.where(mask, 1.0 / np.maximum(gap, 1e-300), 0.0)
@@ -328,17 +376,20 @@ def _outer_integral(walk, rho0: float) -> tuple[float, float]:
 
 
 def _annulus_integral(walk, r_in: float, r_out: float) -> float:
-    # polar midpoint rule, radially log-spaced
+    # polar midpoint rule, radially log-spaced; the angles (k + 1/2) 2pi/96
+    # form 12 orbits of 8 under the square's symmetries, so a symmetric
+    # kernel needs the first octant (k < 12) only
     n_r, n_phi = 24, 96
+    copies = 8 if walk.square_symmetric else 1
     lr = np.linspace(math.log(r_in), math.log(r_out), n_r + 1)
     rmid = np.exp((lr[:-1] + lr[1:]) / 2.0)
     dr = np.exp(lr[1:]) - np.exp(lr[:-1])
-    ang = 2 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+    ang = 2 * math.pi * (np.arange(n_phi // copies) + 0.5) / n_phi
     rr, aa = np.meshgrid(rmid, ang, indexing="ij")
     pts = np.stack([rr * np.cos(aa), rr * np.sin(aa)], axis=-1)
     gap = 1.0 - walk.char_function(pts)
     w = (rr * dr[:, None]) * (2 * math.pi / n_phi)
-    return float(np.sum(w / np.maximum(gap, 1e-300)))
+    return copies * float(np.sum(w / np.maximum(gap, 1e-300)))
 
 
 def truncated_integrals(walk: WalkKernel, ladder) -> list:

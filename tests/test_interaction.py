@@ -6,6 +6,7 @@ import pytest
 from spinlab.interaction import (
     DiscretizedToySystem,
     TrigPolynomial,
+    _truncated_fourier,
     absval,
     aizenman,
     circle_dist,
@@ -87,6 +88,15 @@ class TestDecompose:
     def test_too_rough_raises(self):
         with pytest.raises(ValueError):
             decompose(absval(), eps=1e-9, max_degree=4)
+
+    @pytest.mark.parametrize("m", [64, 65, 256])
+    def test_full_degree_interpolates_grid(self, m):
+        # degree floor(m/2) has as many free values as the grid; on an even
+        # grid the Nyquist mode must be counted once, not twice
+        grid = -math.pi + 2 * math.pi * np.arange(m) / m
+        vals = np.random.default_rng(m).normal(size=m)
+        poly = _truncated_fourier(vals, m // 2)
+        assert np.max(np.abs(poly(grid) - vals)) < 1e-12
 
 
 class TestSecondDerivativeBound:

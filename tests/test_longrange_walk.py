@@ -122,6 +122,90 @@ class TestCharFunction:
         assert w.second_moment() == pytest.approx(direct, rel=1e-12)
 
 
+def _skewed_kernel():
+    # symmetric under x -> -x only: unequal axis and unequal diagonal couplings
+    return normalize(CouplingKernel("skewed", explicit={
+        (1, 0): 1.0, (-1, 0): 1.0, (0, 1): 2.0, (0, -1): 2.0,
+        (1, 1): 0.5, (-1, -1): 0.5, (1, -1): 0.25, (-1, 1): 0.25}))
+
+
+def _walk(spec):
+    if spec == "ring":
+        return normalize(powerlaw_kernel(3.0, radius=40))
+    if spec == "logcorr":
+        return normalize(logcorr_kernel(2, radius=16))
+    if spec == "nn":
+        return normalize(nn_kernel())
+    if spec == "y(nn)":
+        return y_kernel(normalize(nn_kernel()), 0.2)
+    return _skewed_kernel()
+
+
+class TestMidpointGrid:
+    @pytest.mark.parametrize("n_grid", [16, 17])
+    @pytest.mark.parametrize("spec", ["ring", "nn", "y(nn)", "skewed"])
+    def test_matches_char_function(self, spec, n_grid):
+        # the ring kernel's radius 40 exceeds both grids, so the fold wraps
+        w = _walk(spec)
+        t = -math.pi + 2 * math.pi * (np.arange(n_grid) + 0.5) / n_grid
+        tx, ty = np.meshgrid(t, t, indexing="ij")
+        direct = w.char_function(np.stack([tx, ty], axis=-1))
+        assert np.max(np.abs(w.midpoint_grid(n_grid) - direct)) < 1e-12
+
+
+class TestSquareSymmetry:
+    @pytest.mark.parametrize("spec", ["ring", "logcorr", "nn", "y(nn)"])
+    def test_symmetric_kernels(self, spec):
+        assert _walk(spec).square_symmetric
+
+    @pytest.mark.parametrize("explicit", [
+        {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 2.0, (0, -1): 2.0},  # flip only
+        {(1, 1): 1.0, (-1, -1): 1.0},  # transpose only
+    ])
+    def test_asymmetric_kernels(self, explicit):
+        assert not normalize(CouplingKernel("k", explicit=explicit)).square_symmetric
+
+    def test_skewed_kernel(self):
+        assert not _skewed_kernel().square_symmetric
+        assert not y_kernel(_skewed_kernel(), 0.2).square_symmetric
+
+
+def _full_circle_integrals(walk, ladder):
+    """I(rho) by the module's quadrature with every point a ring sum and the
+    annuli over all 96 angles."""
+    n_grid = 256
+    t = -math.pi + 2 * math.pi * (np.arange(n_grid) + 0.5) / n_grid
+    tx, ty = np.meshgrid(t, t, indexing="ij")
+    gap = 1.0 - walk.char_function(np.stack([tx, ty], axis=-1))
+    mask = tx ** 2 + ty ** 2 > ladder[0] ** 2
+    values = [float(np.sum(1.0 / gap[mask]) * (2 * math.pi / n_grid) ** 2)]
+    n_r, n_phi = 24, 96
+    for r_out, r_in in zip(ladder, ladder[1:]):
+        lr = np.linspace(math.log(r_in), math.log(r_out), n_r + 1)
+        rmid = np.exp((lr[:-1] + lr[1:]) / 2.0)
+        dr = np.exp(lr[1:]) - np.exp(lr[:-1])
+        ang = 2 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+        rr, aa = np.meshgrid(rmid, ang, indexing="ij")
+        gap = 1.0 - walk.char_function(
+            np.stack([rr * np.cos(aa), rr * np.sin(aa)], axis=-1))
+        w = rr * dr[:, None] * (2 * math.pi / n_phi)
+        values.append(values[-1] + float(np.sum(w / gap)))
+    return values
+
+
+class TestOctantFold:
+    @pytest.mark.parametrize("spec", ["powerlaw(3.5)", "logcorr(2)", "skewed"])
+    def test_against_full_circle(self, spec):
+        if spec == "skewed":
+            w = _skewed_kernel()
+        else:
+            w = normalize(kernel_preset(spec, radius=64))
+        ladder = default_ladder(w)
+        got = np.asarray(truncated_integrals(w, ladder))
+        ref = np.asarray(_full_circle_integrals(w, ladder))
+        assert np.max(np.abs(got - ref) / ref) < 1e-10
+
+
 class TestChapmanKolmogorov:
     def test_two_step_convolution(self):
         w = normalize(nn_kernel())
