@@ -142,14 +142,6 @@ def shell_rectangles(l: int) -> dict[str, ShellRectangle]:
     return rects
 
 
-def shell_sites(l: int) -> set[Site]:
-    """The l-th shell T^l, union of its four rectangles."""
-    out: set[Site] = set()
-    for r in shell_rectangles(l).values():
-        out.update(r.sites)
-    return out
-
-
 def crossed_bond(dbond: DBond) -> Bond:
     """The unique primal bond crossed by a d-bond.
 

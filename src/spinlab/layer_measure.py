@@ -243,36 +243,6 @@ def uniformity_bound(k: int, r: int, c1: float) -> float:
     return out
 
 
-def circuit_uniformity_bound(k: int, lengths, c1: float) -> float:
-    """Circuit analogue: layer sizes replaced by circuit lengths |lambda_l|.
-
-    `lengths[l]` is the length of the l-th circuit, l = 0..nu-1 zero-based;
-    the bound for layer k is
-    C1 (|l_k| |l_{k+1}|)^{1/4} exp(-(1/(36 C1^2)) sum_{l=k+2}^{nu} 1/|l_l|).
-    """
-    lengths = list(lengths)
-    if k + 1 >= len(lengths):
-        raise ValueError("need circuits k and k+1")
-    out = c1 * (lengths[k] * lengths[k + 1]) ** 0.25
-    tail = sum(1.0 / lengths[l] for l in range(k + 2, len(lengths)))
-    return out * math.exp(-tail / (36.0 * c1 * c1))
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants of the uniformity estimate: cap constant and decay exponent."""
-
-    c1: float
-
-    @property
-    def decay_exponent(self) -> float:
-        return 1.0 / (36.0 * self.c1 * self.c1)
-
-    @classmethod
-    def from_smoothness(cls, c_bar: float) -> "BoundParams":
-        return cls(density_cap_constant(c_bar))
-
-
 def extremal_fourier_oracle(cap: float, s: int, m: int = DEFAULT_GRID):
     """Maximize (1/2pi) int q cos(st) over grid densities with sup q <= cap.
 

@@ -1,5 +1,5 @@
-"""Bond percolation machinery: good crossings, short-crossing events,
-sparseness certificates, and the coarse-grained block field.
+"""Bond percolation machinery: good crossings, short-crossing events and
+sparseness certificates.
 
 Open bonds of a sample form the "bad" set A.  A good crossing of a shell
 rectangle is a d-path joining the two short sides whose d-bonds cross no bond
@@ -36,8 +36,6 @@ def box_bonds(n: int) -> list[Bond]:
 @dataclass
 class BondProcessSample:
     bonds: set
-    descriptor: str
-    seed: int
 
 
 def sample_bernoulli(eps: float, domain, seed: int) -> BondProcessSample:
@@ -48,26 +46,7 @@ def sample_bernoulli(eps: float, domain, seed: int) -> BondProcessSample:
     rng = np.random.default_rng(seed)
     u = rng.random(len(domain))
     open_bonds = {b for b, v in zip(domain, u) if v < eps}
-    return BondProcessSample(open_bonds, f"bernoulli({eps})", seed)
-
-
-def sample_coupling_weighted(eps: float, sites, j_func, seed: int) -> BondProcessSample:
-    """Long-range process: pair {x, y} open with probability eps * J(x - y).
-
-    `j_func` maps a displacement to a coupling weight; every eps * J must be
-    below one.
-    """
-    sites = sorted(sites)
-    rng = np.random.default_rng(seed)
-    open_bonds = set()
-    for i, x in enumerate(sites):
-        for y in sites[i + 1:]:
-            p = eps * j_func((y[0] - x[0], y[1] - x[1]))
-            if p >= 1:
-                raise ValueError("eps * J must stay below 1 on every pair")
-            if p > 0 and rng.random() < p:
-                open_bonds.add((x, y))
-    return BondProcessSample(open_bonds, f"coupling({eps})", seed)
+    return BondProcessSample(open_bonds)
 
 
 @dataclass
@@ -183,35 +162,6 @@ def _validate_crossings(cs: CrossingSet, a_bonds):
         if not sites <= set(cs.rect.dsites()):
             raise AssertionError("crossing leaves the rectangle")
         used |= sites
-
-
-def edge_disjoint_flow(rect: ShellRectangle, a_bonds) -> int:
-    """Max number of edge-disjoint crossings (no node splitting); the min cut
-    equals the minimum of |cut path| - |cut path intersect A| over primal cut
-    paths, which is what the halved lower bound refers to."""
-    dsites = rect.dsites()
-    index = {p: i for i, p in enumerate(dsites)}
-    src_side, snk_side = _rect_sides(rect)
-    rows, cols, caps = [], [], []
-
-    def add(u, v, c):
-        rows.append(u)
-        cols.append(v)
-        caps.append(c)
-
-    big = len(dsites) + 1
-    for p, q in _allowed_dbonds(rect, a_bonds):
-        i, j = index[p], index[q]
-        add(i + 2, j + 2, 1)
-        add(j + 2, i + 2, 1)
-    for p in src_side:
-        add(0, index[p] + 2, big)
-    for p in snk_side:
-        add(index[p] + 2, 1, big)
-    n_nodes = len(dsites) + 2
-    graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
-                       shape=(n_nodes, n_nodes))
-    return int(maximum_flow(graph, 0, 1).flow_value)
 
 
 @dataclass
@@ -348,41 +298,3 @@ def estimate_sparseness_failure(eps: float, n: int, samples: int, alpha: float,
             failures += 1
     return FailureEstimate(n, eps, alpha, rho, samples, failures,
                            wilson_interval(failures, samples))
-
-
-@dataclass
-class SitePercolationField:
-    r_lam: int
-    good: dict  # block coordinate -> bool
-
-    @property
-    def bad_blocks(self):
-        return sorted(z for z, g in self.good.items() if not g)
-
-
-def block_domination_density(eps: float, r_lam: int) -> float:
-    """A block of 16 r^2 sites is bad as soon as one site is marked, so the
-    bad-block density is at most 1 - (1-eps)^(16 r^2)."""
-    return 1.0 - (1.0 - eps) ** (16 * r_lam * r_lam)
-
-
-def recommended_eps(r_lam: int, c: float = 100.0) -> float:
-    return 1.0 / (c * r_lam * r_lam)
-
-
-def block_site_field(a_sites, r_lam: int, n: int) -> SitePercolationField:
-    """Coarse graining on blocks of side 4 r_lam: block z covers the square
-    [4r z - 2r, 4r z + 2r) coordinatewise and is good iff it misses A."""
-    if r_lam < 1:
-        raise ValueError("interaction diameter must be >= 1")
-    r4 = 4 * r_lam
-    half = n // r4
-    good = {}
-    for zx in range(-half, half + 1):
-        for zy in range(-half, half + 1):
-            good[(zx, zy)] = True
-    for (x, y) in a_sites:
-        z = ((x + 2 * r_lam) // r4, (y + 2 * r_lam) // r4)
-        if z in good:
-            good[z] = False
-    return SitePercolationField(r_lam, good)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .interaction import TWO_PI, PairPotential, circle_dist, wrap_angle
-from .lattice import sup_grid, sup_norm
+from .lattice import layer_sites, sup_grid, sup_norm
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +58,6 @@ def smeared_bc(k: int, delta: float = 0.05, sigma: int = 2) -> BoundaryCondition
 
 def staircase_angle(bc: BoundaryCondition, x2) -> float:
     return wrap_angle(bc.sigma * np.asarray(x2) * bc.theta)
-
-
-def boundary_ring(n: int) -> list:
-    ring = []
-    for x in range(-(n + 1), n + 2):
-        for y in range(-(n + 1), n + 2):
-            if sup_norm((x, y)) == n + 1:
-                ring.append((x, y))
-    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -109,37 +100,19 @@ def initial_configuration(bc: BoundaryCondition, n: int, rng) -> SpinConfigurati
     return SpinConfiguration(n, grid)
 
 
-def _bonds(cfg: SpinConfiguration, bc: BoundaryCondition):
-    """Per axis, the angle differences across the grid's nearest-neighbor
-    bonds and the mask of the bonds `hamiltonian` counts."""
+def hardcore_violations(cfg: SpinConfiguration, pot: PairPotential,
+                        bc: BoundaryCondition) -> int:
+    """Nearest-neighbor bonds with at least one interior endpoint (free bc:
+    both endpoints interior) whose angle difference exceeds the cutoff."""
+    if not pot.is_hard_core:
+        return 0
     interior = sup_grid(cfg.n + 1) <= cfg.n
+    bad = 0
     for axis in (0, 1):
         a = np.moveaxis(cfg.grid, axis, 0)
         ia = np.moveaxis(interior, axis, 0)
-        if bc.kind == "free":
-            w = ia[1:] & ia[:-1]
-        else:
-            w = ia[1:] | ia[:-1]
-        yield a[1:] - a[:-1], w
-
-
-def hamiltonian(cfg: SpinConfiguration, pot: PairPotential,
-                bc: BoundaryCondition) -> float:
-    """Sum of U over nearest-neighbor bonds with at least one interior
-    endpoint (free bc: both endpoints interior)."""
-    total = 0.0
-    for diff, w in _bonds(cfg, bc):
-        total += float(np.sum(np.where(w, pot(diff), 0.0)))
-    return total
-
-
-def hardcore_violations(cfg: SpinConfiguration, pot: PairPotential,
-                        bc: BoundaryCondition) -> int:
-    if not pot.is_hard_core:
-        return 0
-    bad = 0
-    for diff, w in _bonds(cfg, bc):
-        bad += int(np.sum(w & (circle_dist(diff) > pot.cutoff + 1e-12)))
+        w = ia[1:] & ia[:-1] if bc.kind == "free" else ia[1:] | ia[:-1]
+        bad += int(np.sum(w & (circle_dist(a[1:] - a[:-1]) > pot.cutoff + 1e-12)))
     return bad
 
 
@@ -577,6 +550,15 @@ class Arcs:
 
 @dataclass
 class FeasibilityCertificate:
+    """Arc-consistency verdict for the hard-core model on a box.
+
+    The "uniquely-rigid" witness takes the midpoint of each site's arc and is
+    not a finite-energy configuration: for staircase_bc(12, 1) at n = 16 it
+    lies up to 1.6e-11 from the exact staircase, and 474 of its bonds exceed
+    the cutoff by more than the 1e-12 tolerance of `hardcore_violations` (up
+    to 9.5e-12), where the exact staircase has none.
+    """
+
     arcs: dict  # interior site -> Arcs (fixed point of the propagation)
     verdict: str  # feasible | infeasible | uniquely-rigid
     witness: Optional[dict]  # site -> angle, only when uniquely rigid
@@ -613,24 +595,16 @@ def _propagate(sets, boundary, theta, queue):
     return True
 
 
-def _boundary_arcs(bc: BoundaryCondition, n: int, boundary_values=None) -> dict:
-    boundary = {}
-    for site in boundary_ring(n):
-        if boundary_values is not None:
-            boundary[site] = Arcs.arc(float(boundary_values[site]), 0.0)
-        else:
-            center = float(staircase_angle(bc, site[1]))
-            half = bc.delta if bc.kind == "smeared" else 0.0
-            boundary[site] = Arcs.arc(center, half)
-    return boundary
+def _boundary_arcs(bc: BoundaryCondition, n: int) -> dict:
+    half = bc.delta if bc.kind == "smeared" else 0.0
+    return {site: Arcs.arc(float(staircase_angle(bc, site[1])), half)
+            for site in layer_sites(n + 1)}
 
 
-def feasibility(bc: BoundaryCondition, theta: float, n: int,
-                boundary_values=None) -> FeasibilityCertificate:
+def feasibility(bc: BoundaryCondition, theta: float, n: int) -> FeasibilityCertificate:
     """Constraint propagation certificate for the hard-core model under the
-    given boundary condition (staircase values, smeared arcs, or explicit
-    per-site boundary angles)."""
-    boundary = _boundary_arcs(bc, n, boundary_values)
+    given boundary condition (staircase values or smeared arcs)."""
+    boundary = _boundary_arcs(bc, n)
     sets = {}
     for x in range(-n, n + 1):
         for y in range(-n, n + 1):
@@ -646,17 +620,17 @@ def feasibility(bc: BoundaryCondition, theta: float, n: int,
 
 
 def feasible_point(cert: FeasibilityCertificate, bc: BoundaryCondition,
-                   theta: float, n: int, rng, attempts: int = 20,
-                   boundary_values=None):
+                   theta: float, n: int, rng):
     """Randomized search for one finite-energy configuration inside the
-    certificate's arcs; returns site -> angle, or None if every attempt dies."""
+    certificate's arcs; returns site -> angle, or None if each of 20
+    attempts dies."""
     if cert.verdict == "infeasible":
         return None
     if cert.witness is not None:
         return dict(cert.witness)
-    boundary = _boundary_arcs(bc, n, boundary_values)
+    boundary = _boundary_arcs(bc, n)
     sites = sorted(cert.arcs.keys())
-    for _ in range(attempts):
+    for _ in range(20):
         sets = dict(cert.arcs)
         order = list(sites)
         rng.shuffle(order)
@@ -694,8 +668,7 @@ class StateReport:
 
 
 def sample_state(pot: PairPotential, bc: BoundaryCondition, n: int,
-                 sweeps: int, seed: int, ring_arcs=None, init=None,
-                 burn: int = None) -> StateReport:
+                 sweeps: int, seed: int, ring_arcs=None, init=None) -> StateReport:
     """Run one chain and accumulate the per-site magnetization <e^{i phi}>."""
     acc = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
     violations = [0]
@@ -711,8 +684,7 @@ def sample_state(pot: PairPotential, bc: BoundaryCondition, n: int,
         "sin01": lambda cfg: math.sin(cfg.at((0, 1))),
     }
     stats = run_chain(pot, bc, n, sweeps, seed, observables=obs,
-                      ring_arcs=ring_arcs, init=init, callback=collect,
-                      burn=burn)
+                      ring_arcs=ring_arcs, init=init, callback=collect)
     return StateReport(stats, acc / sweeps, n, violations[0])
 
 
@@ -747,21 +719,16 @@ def _covariance_check(traces: dict, sigma: int, theta: float):
 
 
 def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
-                   seed: int, method: str = "joint",
-                   restarts: int = 40) -> AizenmanReport:
+                   seed: int) -> AizenmanReport:
     """Sample the smeared staircase state of the hard-core cosine model.
 
-    method "joint" (default): the boundary ring is sampled together with the
-    interior, each boundary site constrained to its arc of half-width delta
-    around the staircase.  This visits exactly the boundary draws whose
-    conditional measure is nonzero; relative to the literal construction it
+    The boundary ring is sampled together with the interior, each boundary
+    site constrained to its arc of half-width delta around the staircase.
+    This visits exactly the boundary draws whose conditional measure is
+    nonzero; relative to the literal construction (boundary angles drawn
+    uniformly from their arcs, infeasible draws carrying zero measure) it
     reweights feasible draws by their conditional partition function, which
     moves nothing outside the delta-tube around the staircase.
-
-    method "restarts": the literal construction; boundary angles are redrawn
-    uniformly from their arcs each restart, infeasible draws carry zero
-    measure and are skipped.  Only practical for small n, since the feasible
-    fraction of draws decays exponentially with n.
     """
     from .interaction import aizenman
 
@@ -773,58 +740,13 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
             "no finite-energy configuration for this staircase: the "
             "conditional measure is identically zero")
     bc = smeared_bc(k, delta, sigma)
-    ring = boundary_ring(n)
-    if method == "joint":
-        # arc parameters in stencil phase order (flat-index sorted)
-        s = 2 * n + 3
-        order = sorted(ring, key=lambda p: (p[0] + n + 1) * s + (p[1] + n + 1))
-        centers = np.array([staircase_angle(bc, p[1]) for p in order])
-        init = initial_configuration(bc, n, np.random.default_rng(0))
-        report = sample_state(pot, bc, n, sweeps, seed,
-                              ring_arcs=(centers, delta), init=init)
-        gap, err = _covariance_check(report.stats.traces, sigma, theta)
-        return AizenmanReport(report, k, sigma, delta, gap, err)
-    if method != "restarts":
-        raise ValueError(f"unknown method {method!r}")
-    rng = np.random.default_rng(seed)
-    per = max(64, sweeps // restarts)
-    mags, traces = [], {"cos0": [], "sin0": [], "cos01": [], "sin01": []}
-    violations = 0
-    feasible_draws, draws = 0, 0
-    last = None
-    while feasible_draws < restarts and draws < 2000:
-        draws += 1
-        bvals = {site: wrap_angle(float(staircase_angle(bc, site[1]))
-                                  + rng.uniform(-delta, delta))
-                 for site in ring}
-        c = feasibility(bc, theta, n, boundary_values=bvals)
-        point = feasible_point(c, bc, theta, n, rng, attempts=5,
-                               boundary_values=bvals)
-        if point is None:
-            continue
-        feasible_draws += 1
-        grid = np.zeros((2 * n + 3, 2 * n + 3))
-        for site, v in bvals.items():
-            grid[site[0] + n + 1, site[1] + n + 1] = v
-        for site, v in point.items():
-            grid[site[0] + n + 1, site[1] + n + 1] = v
-        rep = sample_state(pot, bc, n, per, int(rng.integers(2 ** 31)),
-                           init=SpinConfiguration(n, grid), burn=per // 4)
-        mags.append(rep.magnetization)
-        violations += rep.violations
-        for name in traces:
-            traces[name].append(rep.stats.traces[name])
-        last = rep
-    if feasible_draws == 0:
-        raise RuntimeError(
-            "every sampled boundary condition was infeasible: the smeared "
-            "measure is identically zero at these parameters")
-    traces = {k2: np.concatenate(v) for k2, v in traces.items()}
-    errors = {k2: batch_means(v) for k2, v in traces.items()}
-    stats = ChainStats(per * feasible_draws, last.stats.acceptance_rate,
-                       traces, errors, seed, last.stats.width, last.stats.final)
-    report = StateReport(stats, np.mean(mags, axis=0), n, violations)
-    gap, err = _covariance_check(traces, sigma, theta)
+    # arc parameters in stencil phase order (flat-index, i.e. lexicographic)
+    centers = np.array([staircase_angle(bc, p[1])
+                        for p in sorted(layer_sites(n + 1))])
+    init = initial_configuration(bc, n, np.random.default_rng(0))
+    report = sample_state(pot, bc, n, sweeps, seed,
+                          ring_arcs=(centers, delta), init=init)
+    gap, err = _covariance_check(report.stats.traces, sigma, theta)
     return AizenmanReport(report, k, sigma, delta, gap, err)
 
 

@@ -125,7 +125,7 @@ def compute_R_delta(v_sites, delta: float, eps: float, walk: WalkKernel,
 @dataclass
 class DeformedSpinWave:
     base: SpinWaveField
-    bonds: list
+    bonds: object  # A as passed to deform: a (k, 2, 2) array or site pairs
     values: np.ndarray
     witness: dict  # site -> t_A(x), only for sites whose value moved
     r_a: int  # cluster reach of the gate set V
@@ -137,8 +137,8 @@ class DeformedSpinWave:
 
 def _clusters(bonds, v_sites):
     """One labelling of the A-clusters.  For the sites the bonds touch, in
-    lexicographic order: their (k, 2) coordinates, their first index among
-    the 2|A| bond endpoints and their cluster labels; then r_A(V)."""
+    lexicographic order: their (k, 2) coordinates and their cluster labels;
+    then r_A(V)."""
     ends = np.asarray(bonds, dtype=np.int64).reshape(-1, 2)
     v = np.asarray(v_sites, dtype=np.int64).reshape(-1, 2)
     b = int(np.abs(np.concatenate([ends, v])).max(initial=0))
@@ -154,12 +154,12 @@ def _clusters(bonds, v_sites):
     v_labels = labels[np.searchsorted(codes, v_codes[np.isin(v_codes, codes)])]
     reach = max(np.abs(v).max(initial=0),
                 np.abs(sites[np.isin(labels, v_labels)]).max(initial=0))
-    return sites, first, labels, int(reach)
+    return sites, labels, int(reach)
 
 
 def cluster_reach(bonds, v_sites) -> int:
     """r_A(V): the largest sup-norm reachable from V through bonds of A."""
-    return _clusters(bonds, v_sites)[3]
+    return _clusters(bonds, v_sites)[2]
 
 
 def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
@@ -168,9 +168,8 @@ def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
     clusters); if the clusters of V reach beyond r_delta the whole deformed
     wave is set to zero.  The witness of a cluster is its lexicographically
     smallest site of least value."""
-    bonds = list(bonds)
     m = wave.margin
-    sites, first, labels, r_a = _clusters(bonds, v_sites)
+    sites, labels, r_a = _clusters(bonds, v_sites)
     if r_delta is not None and r_a > r_delta:
         return DeformedSpinWave(wave, bonds, np.zeros_like(wave.values), {},
                                 r_a, True)
@@ -184,7 +183,7 @@ def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
     best = order[np.diff(labels[order], prepend=-1) != 0][labels]
     values = wave.values.copy()
     values[x, y] = vals[best[inside]]
-    site = [bonds[i // 2][i % 2] for i in first.tolist()]  # the callers' tuples
+    site = list(map(tuple, sites.tolist()))
     witness = {site[i]: site[w] for i, w in
                zip(np.flatnonzero(inside).tolist(), best[inside].tolist())}
     return DeformedSpinWave(wave, bonds, values, witness, r_a, False)
@@ -221,12 +220,13 @@ def entropy_bound(deformed: DeformedSpinWave, j_grid: np.ndarray,
 
 
 def sample_long_range_bonds(eps: float, j_grid: np.ndarray, margin: int,
-                            rng) -> list:
+                            rng) -> np.ndarray:
     """A ~ Q_{J,eps} on pairs inside the square of the given radius: each pair
-    {x, y} open with probability eps * J(x - y), sampled per displacement."""
+    {x, y} open with probability eps * J(x - y), sampled per displacement.
+    Returns the open pairs as a (|A|, 2, 2) int64 array of endpoints."""
     k = (j_grid.shape[0] - 1) // 2
     side = 2 * margin + 1
-    bonds = []
+    blocks = [np.zeros((0, 4), dtype=np.int64)]
     for dx in range(0, k + 1):
         for dy in range(-k, k + 1):
             if dx == 0 and dy <= 0:
@@ -244,9 +244,8 @@ def sample_long_range_bonds(eps: float, j_grid: np.ndarray, margin: int,
             picks = rng.choice(nx * ny, size=count, replace=False)
             xs = picks // ny - margin
             ys = picks % ny - margin + max(0, -dy)
-            for x, y in zip(xs, ys):
-                bonds.append(((int(x), int(y)), (int(x) + dx, int(y) + dy)))
-    return bonds
+            blocks.append(np.stack([xs, ys, xs + dx, ys + dy], axis=1))
+    return np.concatenate(blocks).reshape(-1, 2, 2)
 
 
 @dataclass

@@ -1,14 +1,22 @@
 """Dead-code guard for the package sources: no module-level import that the
-module never uses, and no local name that a function assigns and never
-reads (local names starting with an underscore are exempt)."""
+module never uses, no local name that a function assigns and never reads
+(local names starting with an underscore are exempt), and no public
+module-level function or class without a caller outside the module tests."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "spinlab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spinlab"
 MODULES = sorted(SRC.glob("*.py"))
+
+# Paper quantities R(delta) and r_A(V): only test_spinwave.py calls them until
+# the entropy experiment exposes its delta-gate.  The guard wants this exact
+# list, so a name leaves it as soon as it gains a caller.
+UNCALLED_OK = ["spinwave.cluster_reach", "spinwave.compute_R_delta"]
 
 
 def _loaded(tree) -> set:
@@ -59,6 +67,39 @@ def unread_locals(tree) -> list:
     return out
 
 
+def references(tree, strings=False) -> Counter:
+    """How often the tree loads each name, reads it as an attribute or
+    imports it; with `strings`, also its string constants, since the
+    benchmark patches functions by attribute name."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def uncalled_names(modules: dict, outside) -> list:
+    """Public module-level functions and classes of `modules` (name -> tree)
+    that no package module references outside the definition itself and
+    that `outside` does not name either, as "module.name"."""
+    total = sum((references(t) for t in modules.values()), Counter())
+    out = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in outside
+                    and total[node.name] == references(node)[node.name]):
+                out.append(f"{name}.{node.name}")
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -79,3 +120,28 @@ def test_guard_catches_dead_code():
         "    return a + pi\n")
     assert unused_imports(tree) == ["os", "tau"]
     assert unread_locals(tree) == ["f: b", "f: unused"]
+
+
+def test_every_public_name_has_a_caller():
+    # callers: the package itself, the benchmark and the acceptance suite;
+    # a name that only its module tests reach is dead code
+    outside = references(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    for path in sorted((ROOT / "spinbench").glob("*.py")):
+        outside |= references(ast.parse(path.read_text()), strings=True)
+    modules = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    assert uncalled_names(modules, outside) == UNCALLED_OK
+
+
+def test_caller_guard_catches_dead_code():
+    modules = {
+        "a": ast.parse("def used(): pass\n"
+                       "def recursive(n): return recursive(n - 1)\n"
+                       "def patched(): pass\n"
+                       "class Helper: pass\n"
+                       "def _private(): pass\n"),
+        "b": ast.parse("from .a import used\n"
+                       "def main(): return used() + _helper()\n"
+                       "def _helper(): return a.Helper\n"),
+    }
+    assert uncalled_names(modules, {"patched", "main"}) == ["a.recursive"]
+    assert uncalled_names(modules, set()) == ["a.patched", "a.recursive", "b.main"]

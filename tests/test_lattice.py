@@ -10,7 +10,6 @@ from spinlab.lattice import (
     interlayer_bonds,
     layer_sites,
     shell_rectangles,
-    shell_sites,
     sup_norm,
 )
 
@@ -83,8 +82,11 @@ class TestShells:
         assert set(s.sites) == {(-x, -y) for (x, y) in n.sites}
 
     def test_shells_at_different_scales_disjoint(self):
-        assert not (shell_sites(2) & shell_sites(3))
-        assert not (shell_sites(3) & shell_sites(4))
+        def shell(l):
+            return {x for r in shell_rectangles(l).values() for x in r.sites}
+
+        assert not (shell(2) & shell(3))
+        assert not (shell(3) & shell(4))
 
     def test_rejects_small_scale(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from spinlab.layer_measure import (
     OrbitConfiguration,
     chi_density,
     circle_grid,
-    circuit_uniformity_bound,
     convolve,
     density_cap_constant,
     extremal_fourier_oracle,
@@ -261,26 +260,6 @@ class TestUniformityBound:
     def test_rejects_short_range(self):
         with pytest.raises(ValueError):
             uniformity_bound(3, 3, 10.0)
-
-    def test_circuit_variant_reduces_to_layer_shape(self):
-        c1 = 10.0
-        lengths = [8 * (l + 1) for l in range(12)]
-        val = circuit_uniformity_bound(2, lengths, c1)
-        assert val > 0
-        longer = circuit_uniformity_bound(2, lengths + [200], c1)
-        assert longer < val
-
-    def test_circuit_variant_needs_two(self):
-        with pytest.raises(ValueError):
-            circuit_uniformity_bound(2, [10, 10, 10], 10.0)
-
-
-class TestExports:
-    def test_bound_params(self):
-        from spinlab.layer_measure import BoundParams
-        bp = BoundParams.from_smoothness(1.0)
-        assert bp.c1 == pytest.approx(density_cap_constant(1.0))
-        assert bp.decay_exponent == pytest.approx(1.0 / (36 * bp.c1 ** 2))
 
 
 class TestIndependenceFactorization:

@@ -7,16 +7,11 @@ import pytest
 from spinlab import lattice
 from spinlab.lattice import ShellRectangle, canonical_bond, shell_rectangles
 from spinlab.percolation import (
-    block_domination_density,
-    block_site_field,
     box_bonds,
     disjoint_good_crossings,
     derive_tau,
-    edge_disjoint_flow,
     estimate_sparseness_failure,
-    recommended_eps,
     sample_bernoulli,
-    sample_coupling_weighted,
     short_crossing_event,
     sparseness_certificate,
     wilson_interval,
@@ -47,32 +42,6 @@ class TestSampling:
         assert a.bonds == b.bonds
         c = sample_bernoulli(0.3, domain, seed=43)
         assert a.bonds != c.bonds
-
-    def test_coupling_weighted_frequencies(self):
-        sites = lattice.box_sites(6)
-
-        def j(d):
-            return 0.5 / (d[0] ** 2 + d[1] ** 2) ** 2
-
-        eps = 0.4
-        counts = {}
-        totals = {}
-        for seed in range(40):
-            s = sample_coupling_weighted(eps, sites, j, seed)
-            for x, y in itertools.combinations(sorted(sites), 2):
-                d2 = (y[0] - x[0]) ** 2 + (y[1] - x[1]) ** 2
-                if d2 <= 2:
-                    totals[d2] = totals.get(d2, 0) + 1
-                    counts[d2] = counts.get(d2, 0) + ((x, y) in s.bonds)
-        for d2 in (1, 2):
-            p = eps * 0.5 / d2 ** 2
-            freq = counts[d2] / totals[d2]
-            sigma = math.sqrt(p * (1 - p) / totals[d2])
-            assert abs(freq - p) < 3 * sigma
-
-    def test_coupling_rejects_probability_above_one(self):
-        with pytest.raises(ValueError):
-            sample_coupling_weighted(0.9, [(0, 0), (1, 0)], lambda d: 2.0, 0)
 
 
 def tall_rect():
@@ -143,48 +112,39 @@ class TestDisjointCrossings:
         from spinlab.percolation import _allowed_dbonds
         return _allowed_dbonds(rect, set())
 
+    @staticmethod
+    def _node_connectivity(rect, a_bonds):
+        # d-site (a, b) is the point (a + 1/2, b + 1/2): its step east crosses
+        # the primal bond {(a+1, b), (a+1, b+1)}, its step north the primal
+        # bond {(a, b+1), (a+1, b+1)}; networkx counts the node-disjoint
+        # paths between the two short sides
+        import networkx as nx
+        from networkx.algorithms.connectivity import local_node_connectivity
+        (a0, a1), (b0, b1) = rect.dsite_x_range, rect.dsite_y_range
+        g = nx.Graph()
+        for a in range(a0, a1 + 1):
+            for b in range(b0, b1 + 1):
+                g.add_node((a, b))
+                if a < a1 and canonical_bond((a + 1, b), (a + 1, b + 1)) not in a_bonds:
+                    g.add_edge((a, b), (a + 1, b))
+                if b < b1 and canonical_bond((a, b + 1), (a + 1, b + 1)) not in a_bonds:
+                    g.add_edge((a, b), (a, b + 1))
+        if rect.long_axis == "x":
+            src = [(a0, b) for b in range(b0, b1 + 1)]
+            snk = [(a1, b) for b in range(b0, b1 + 1)]
+        else:
+            src = [(a, b0) for a in range(a0, a1 + 1)]
+            snk = [(a, b1) for a in range(a0, a1 + 1)]
+        g.add_edges_from(("S", q) for q in src)
+        g.add_edges_from((q, "T") for q in snk)
+        return local_node_connectivity(g, "S", "T")
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_site_count_vs_halved_edge_flow(self, seed):
+    def test_site_count_matches_node_connectivity(self, seed):
         rect = shell_rectangles(3)["E"]
         rng = np.random.default_rng(100 + seed)
         a = {b for b in box_bonds(8) if rng.random() < 0.05}
-        site = disjoint_good_crossings(rect, a).count
-        edge = edge_disjoint_flow(rect, a)
-        assert site <= edge
-        assert site >= math.ceil(edge / 2)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_edge_flow_equals_primal_cut_path_minimum(self, seed):
-        # planar duality: the min cut is the lightest primal path between the
-        # long sides, where bonds of A cost nothing to cut
-        import networkx as nx
-        rect = tall_rect()
-        rng = np.random.default_rng(7 + seed)
-        a = {b for b in box_bonds(6) if rng.random() < 0.2}
-        (a0, a1) = rect.dsite_x_range
-        (b0, b1) = rect.dsite_y_range
-        g = nx.Graph()
-        (x0, x1), (y0, y1) = rect.x_range, rect.y_range
-        for x in range(x0, x1 + 1):
-            for y in range(y0, y1 + 1):
-                if y < y1:
-                    bond = canonical_bond((x, y), (x, y + 1))
-                    if x == x0 or x == x1:
-                        # severs the source/sink attachments: forbidden
-                        w = 10 ** 6
-                    else:
-                        w = 1 if bond not in a else 0
-                    g.add_edge((x, y), (x, y + 1), weight=w)
-                if x < x1:
-                    bond = canonical_bond((x, y), (x + 1, y))
-                    in_h = a0 <= x <= a1 and b0 <= y - 1 and y <= b1
-                    w = 1 if (in_h and bond not in a) else 0
-                    g.add_edge((x, y), (x + 1, y), weight=w)
-        for x in range(x0, x1 + 1):
-            g.add_edge("bot", (x, y0), weight=0)
-            g.add_edge("top", (x, y1), weight=0)
-        cut = nx.shortest_path_length(g, "bot", "top", weight="weight")
-        assert edge_disjoint_flow(rect, a) == cut
+        assert disjoint_good_crossings(rect, a).count == self._node_connectivity(rect, a)
 
     def test_structural_validation_runs(self):
         # emitted crossings are validated on construction; just exercise it
@@ -322,38 +282,3 @@ class TestWilson:
     def test_rejects_no_samples(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
-
-
-class TestBlockField:
-    def test_empty_all_good(self):
-        f = block_site_field(set(), r_lam=2, n=16)
-        assert all(f.good.values())
-
-    def test_single_site_one_bad_block(self):
-        f = block_site_field({(0, 0)}, r_lam=2, n=16)
-        assert f.bad_blocks == [(0, 0)]
-
-    def test_block_assignment_boundaries(self):
-        # r=2: block (0,0) covers [-4,4) x [-4,4)
-        f = block_site_field({(-4, 3)}, r_lam=2, n=16)
-        assert f.bad_blocks == [(0, 0)]
-        f = block_site_field({(-5, 0)}, r_lam=2, n=16)
-        assert f.bad_blocks == [(-1, 0)]
-
-    def test_domination_density(self):
-        assert block_domination_density(0.001, 2) == pytest.approx(
-            1 - 0.999 ** 64)
-        assert recommended_eps(2, c=100) == pytest.approx(1 / 400)
-
-    def test_empirical_bad_frequency(self):
-        eps, r = 0.001, 2
-        bound = block_domination_density(eps, r)
-        bad = total = 0
-        for seed in range(30):
-            rng = np.random.default_rng(1000 + seed)
-            sites = {s for s in lattice.box_sites(16) if rng.random() < eps}
-            f = block_site_field(sites, r_lam=r, n=16)
-            bad += len(f.bad_blocks)
-            total += len(f.good)
-        sigma = math.sqrt(bound * (1 - bound) / total)
-        assert bad / total <= bound + 3 * sigma

@@ -321,13 +321,15 @@ class TestBondSampler:
         j_grid = nn_walk.grid_values(2)
         rng = np.random.default_rng(3)
         bonds = sample_long_range_bonds(0.4, j_grid, 10, rng)
+        assert bonds.dtype == np.int64 and bonds.shape[1:] == (2, 2)
+        assert len(bonds) > 0
         seen = set()
-        for x, y in bonds:
+        for x, y in bonds.tolist():
             d = (y[0] - x[0], y[1] - x[1])
             assert j_grid[d[0] + 2, d[1] + 2] > 0
             assert max(abs(x[0]), abs(x[1])) <= 10
             assert max(abs(y[0]), abs(y[1])) <= 10
-            key = frozenset((x, y))
+            key = frozenset((tuple(x), tuple(y)))
             assert key not in seen
             seen.add(key)
 
@@ -342,6 +344,35 @@ class TestBondSampler:
                   for _ in range(200)]
         sigma = math.sqrt(expected * (1 - eps * 0.25) / 200)
         assert abs(np.mean(counts) - expected) < 4 * sigma
+
+    def test_coupling_weighted_frequencies(self):
+        # J(d) = 0.5 / |d|^4 on the radius-6 box: the pairs at |d|^2 = 1 and
+        # 2 are open with frequency eps * J
+        k, margin, eps = 2, 6, 0.4
+        ax = np.arange(-k, k + 1) ** 2
+        d2 = np.add.outer(ax, ax)
+        j_grid = np.where(d2 > 0, 0.5 / np.maximum(d2, 1) ** 2, 0.0)
+        rng = np.random.default_rng(0)
+        side = 2 * margin + 1
+        pairs = {1: 2 * side * (side - 1), 2: 2 * (side - 1) ** 2}
+        counts = {1: 0, 2: 0}
+        samples = 40
+        for _ in range(samples):
+            bonds = sample_long_range_bonds(eps, j_grid, margin, rng)
+            lengths = ((bonds[:, 1] - bonds[:, 0]) ** 2).sum(axis=1)
+            for n2 in counts:
+                counts[n2] += int(np.sum(lengths == n2))
+        for n2, per_sample in pairs.items():
+            p = eps * 0.5 / n2 ** 2
+            total = samples * per_sample
+            sigma = math.sqrt(p * (1 - p) / total)
+            assert abs(counts[n2] / total - p) < 3 * sigma
+
+    def test_coupling_rejects_probability_above_one(self):
+        j_grid = np.full((3, 3), 2.0)
+        j_grid[1, 1] = 0.0
+        with pytest.raises(ValueError):
+            sample_long_range_bonds(0.9, j_grid, 1, np.random.default_rng(0))
 
 
 class TestEntropyBound:
