@@ -46,6 +46,27 @@ def _int_list(v):
     return [int(x) for x in str(v).split(",") if x.strip()]
 
 
+def _parses(parse, spec) -> bool:
+    try:
+        parse(spec)
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+def _potential_ok(spec) -> bool:
+    from .interaction import potential_preset
+    return _parses(potential_preset, spec)
+
+
+def _kernel_ok(spec) -> bool:
+    from .longrange_walk import kernel_preset
+    return _parses(kernel_preset, spec)
+
+
+_NOT_PRESET = "unknown or malformed preset (see `spinlab presets`)"
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its parameter schema, runner and verify predicate.
@@ -472,7 +493,7 @@ def _check_decompose51(outputs):
 
 EXPERIMENTS = {
     "layers": Experiment({
-        "potential": (str, "xy(1.0)", None, ""),
+        "potential": (str, "xy(1.0)", _potential_ok, _NOT_PRESET),
         "cbar": (float, 1.0, lambda x: x > 0, "must be positive"),
         "n": (int, 8, lambda x: x >= 1, "must be >= 1"),
         "orbits": (int, 5, lambda x: x >= 1, "must be >= 1"),
@@ -492,18 +513,18 @@ EXPERIMENTS = {
         "samples": (int, 20, lambda x: x >= 1, "must be >= 1"),
     }, _run_sparseness, _check_sparseness),
     "recurrence": Experiment({
-        "kernel": (str, "nn", None, ""),
+        "kernel": (str, "nn", _kernel_ok, _NOT_PRESET),
         "radius": (int, 512, lambda x: x >= 1, "must be >= 1"),
     }, _run_recurrence, _check_recurrence),
     "spinwave": Experiment({
-        "kernel": (str, "nn", None, ""),
+        "kernel": (str, "nn", _kernel_ok, _NOT_PRESET),
         "eps": (float, 0.2, lambda x: 0 < x < 1, "must be in (0, 1)"),
         "inner": (int, 2, lambda x: x >= 0, "must be >= 0"),
         "psi": (float, math.pi / 4, None, ""),
         "ns": (_int_list, [16, 32], lambda xs: all(x >= 4 for x in xs), "entries must be >= 4"),
     }, _run_spinwave, _check_spinwave),
     "entropy": Experiment({
-        "kernel": (str, "nn", None, ""),
+        "kernel": (str, "nn", _kernel_ok, _NOT_PRESET),
         "eps": (float, 0.2, lambda x: 0 < x < 1, "must be in (0, 1)"),
         "inner": (int, 2, lambda x: x >= 0, "must be >= 0"),
         "psi": (float, math.pi / 4, None, ""),
@@ -511,13 +532,13 @@ EXPERIMENTS = {
         "samples": (int, 50, lambda x: x >= 2, "must be >= 2"),
     }, _run_entropy, _check_entropy),
     "rotation": Experiment({
-        "potential": (str, "xy(1.0)", None, ""),
+        "potential": (str, "xy(1.0)", _potential_ok, _NOT_PRESET),
         "psi": (float, math.pi / 2, None, ""),
         "ns": (_int_list, [8, 16], lambda xs: all(x >= 2 for x in xs), "entries must be >= 2"),
         "sweeps": (int, 2000, lambda x: x >= 64, "must be >= 64"),
     }, _run_rotation, _check_rotation),
     "twopoint": Experiment({
-        "potential": (str, "xy(0.5)", None, ""),
+        "potential": (str, "xy(0.5)", _potential_ok, _NOT_PRESET),
         "n": (int, 12, lambda x: x >= 2, "must be >= 2"),
         "distances": (_int_list, [1, 2, 4, 8], lambda xs: len(xs) >= 1, "need distances"),
         "sweeps": (int, 4000, lambda x: x >= 64, "must be >= 64"),
@@ -530,7 +551,7 @@ EXPERIMENTS = {
         "sweeps": (int, 2000, lambda x: x >= 64, "must be >= 64"),
     }, _run_aizenman, _check_aizenman),
     "decompose51": Experiment({
-        "potential": (str, "absval", None, ""),
+        "potential": (str, "absval", _potential_ok, _NOT_PRESET),
         "eps": (float, 0.5, lambda x: x > 0, "must be positive"),
         "grid": (int, 4096, lambda x: x >= 256, "must be >= 256"),
     }, _run_decompose51, _check_decompose51),

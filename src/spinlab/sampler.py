@@ -13,13 +13,12 @@ would vanish are then never visited rather than rejected wholesale.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .interaction import TWO_PI, PairPotential, circle_dist, wrap_angle
+from .interaction import TWO_PI, PairPotential, aizenman, circle_dist, wrap_angle
 from .lattice import layer_sites, sup_grid, sup_norm
 
 
@@ -415,241 +414,104 @@ def power_law_fit(rows) -> PowerLawFit:
 # feasibility under hard-core staircase conditions
 
 
-class Arcs:
-    """Union of closed arcs on the circle, kept as disjoint sorted intervals
-    [a, b] inside [0, 2pi] (a point is an interval with a == b)."""
-
-    def __init__(self, intervals=None, full=False):
-        self.full = full
-        self.intervals = [] if full else self._normalize(intervals or [])
-
-    @staticmethod
-    def _normalize(raw):
-        # raw comes as (start, end) on the line with end >= start
-        pieces = []
-        for a, b in raw:
-            length = b - a
-            a = a % TWO_PI
-            b = a + length
-            if b > TWO_PI:
-                pieces.append((a, TWO_PI))
-                pieces.append((0.0, b - TWO_PI))
-            else:
-                pieces.append((a, b))
-        pieces.sort()
-        merged = []
-        for a, b in pieces:
-            if merged and a <= merged[-1][1] + 1e-15:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        # join a piece ending at 2pi with one starting at 0
-        if len(merged) > 1 and merged[0][0] <= 1e-15 and merged[-1][1] >= TWO_PI - 1e-15:
-            b0 = merged.pop(0)[1]
-            a1 = merged.pop()[0]
-            merged.insert(0, (0.0, b0))
-            merged.append((a1, TWO_PI))
-        return merged
-
-    @classmethod
-    def full_circle(cls):
-        return cls(full=True)
-
-    @classmethod
-    def arc(cls, center: float, halfwidth: float):
-        if halfwidth >= math.pi:
-            return cls.full_circle()
-        c = center % TWO_PI
-        return cls([(c - halfwidth, c + halfwidth)])
-
-    @property
-    def measure(self) -> float:
-        if self.full:
-            return TWO_PI
-        return sum(b - a for a, b in self.intervals)
-
-    @property
-    def empty(self) -> bool:
-        return not self.full and not self.intervals
-
-    def dilate(self, r: float) -> "Arcs":
-        if self.full or self.empty:
-            return self
-        grown = Arcs([(a - r, b + r) for a, b in self.intervals])
-        # the grown arcs can cover the circle only if their lengths add up
-        if (self.measure + 2 * r * len(self.intervals) >= TWO_PI
-                and grown.measure >= TWO_PI - 1e-15):
-            return Arcs.full_circle()
-        return grown
-
-    def intersect(self, other: "Arcs") -> "Arcs":
-        if self.full:
-            return other
-        if other.full:
-            return self
-        out = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo <= hi:
-                    out.append((lo, hi))
-        res = Arcs.__new__(Arcs)
-        res.full = False
-        res.intervals = Arcs._normalize(out)
-        return res
-
-    def contains(self, t: float) -> bool:
-        if self.full:
-            return True
-        t = t % TWO_PI
-        return any(a - 1e-12 <= t <= b + 1e-12 for a, b in self.intervals)
-
-    @property
-    def diameter(self) -> float:
-        """Largest circle distance between two points of the set."""
-        if self.full:
-            return math.pi
-        if self.empty:
-            return 0.0
-        pts = [p for ab in self.intervals for p in ab]
-        best = max(b - a for a, b in self.intervals)
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                d = abs(p - q)
-                best = max(best, min(d, TWO_PI - d))
-        return best
-
-    def a_point(self, rng=None) -> float:
-        """Midpoint of the largest interval, or a uniform draw when rng given."""
-        if self.full:
-            if rng is None:
-                return 0.0
-            return float(rng.uniform(0, TWO_PI))
-        if self.empty:
-            raise ValueError("empty arc set")
-        if rng is None:
-            a, b = max(self.intervals, key=lambda ab: ab[1] - ab[0])
-            return wrap_angle(0.5 * (a + b))
-        lengths = np.array([b - a for a, b in self.intervals])
-        if lengths.sum() == 0:
-            return wrap_angle(self.intervals[0][0])
-        i = rng.choice(len(lengths), p=lengths / lengths.sum())
-        a, b = self.intervals[i]
-        return wrap_angle(float(rng.uniform(a, b)))
-
-    def close_to(self, other: "Arcs") -> bool:
-        if self.full != other.full:
-            return False
-        if self.full:
-            return True
-        if len(self.intervals) != len(other.intervals):
-            return False
-        return all(abs(a - c) <= 1e-12 and abs(b - d) <= 1e-12
-                   for (a, b), (c, d) in zip(self.intervals, other.intervals))
-
-
 @dataclass
 class FeasibilityCertificate:
-    """Arc-consistency verdict for the hard-core model on a box.
+    """Exact verdict for the hard-core model with cutoff theta on a box.
 
-    The "uniquely-rigid" witness takes the midpoint of each site's arc and is
-    not a finite-energy configuration: for staircase_bc(12, 1) at n = 16 it
-    lies up to 1.6e-11 from the exact staircase, and 474 of its bonds exceed
-    the cutoff by more than the 1e-12 tolerance of `hardcore_violations` (up
-    to 9.5e-12), where the exact staircase has none.
+    G is the box plus R', the ring sites with an interior neighbour; D is
+    its graph distance.  As 4 theta < 2 pi, no plaquette of a finite-energy
+    configuration carries a vortex, so the configuration lifts to a real
+    theta-Lipschitz function for D.  Consecutive sites of R' lie at distance
+    <= 3 and 3 theta + 2 delta < pi, so the ring data lift by
+    nearest-representative steps, uniquely up to 2 pi (a winding ring fails
+    the pairwise test on its closing step).  On the real line the arcs
+    [c - delta, c + delta] admit a theta-Lipschitz choice iff every pair
+    does (the lower envelope is one), and McShane's extension carries it to
+    all of G.  `lower` and `upper` are the envelopes: the least and greatest
+    lifted value of each site over finite-energy configurations.
     """
 
-    arcs: dict  # interior site -> Arcs (fixed point of the propagation)
     verdict: str  # feasible | infeasible | uniquely-rigid
-    witness: Optional[dict]  # site -> angle, only when uniquely rigid
+    witness: Optional[dict]  # site of G -> wrap_angle(lower); None if infeasible
+    lower: Optional[np.ndarray]  # per site of G in `_lift_graph` order
+    upper: Optional[np.ndarray]
 
 
-def _propagate(sets, boundary, theta, queue):
-    """Arc-consistency fixed point: intersect each site's set with every
-    neighbor's set dilated by the hard-core cutoff."""
-    dirs = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    budget = 500 * max(len(sets), 1)
-    while queue:
-        budget -= 1
-        if budget < 0:
-            break  # accept the current (still valid) superset
-        site = queue.popleft()
-        new = sets[site]
-        for dx, dy in dirs:
-            q = (site[0] + dx, site[1] + dy)
-            nbr_set = sets.get(q) or boundary.get(q)
-            if nbr_set is None:
-                continue
-            # tiny slack keeps exactly-touching closed arcs intersecting
-            # despite roundoff; far below the 1e-9 rigidity threshold
-            new = new.intersect(nbr_set.dilate(theta + 1e-12))
-            if new.empty:
-                sets[site] = new
-                return False
-        if not new.close_to(sets[site]):
-            sets[site] = new
-            for dx, dy in dirs:
-                q = (site[0] + dx, site[1] + dy)
-                if q in sets and q not in queue:
-                    queue.append(q)
-    return True
+def _lift_graph(n: int):
+    """Sites of G (the box in flat-index order, then R' in ring order), their
+    anchors in the box and their ring flags e."""
+    ax = np.arange(-n, n + 1)
+    box = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    ring = np.array([p for p in layer_sites(n + 1) if abs(p[0]) != abs(p[1])])
+    e = np.repeat([0, 1], [len(box), len(ring)])
+    sites = np.concatenate([box, ring])
+    return sites, np.clip(sites, -n, n), e
 
 
-def _boundary_arcs(bc: BoundaryCondition, n: int) -> dict:
-    half = bc.delta if bc.kind == "smeared" else 0.0
-    return {site: Arcs.arc(float(staircase_angle(bc, site[1])), half)
-            for site in layer_sites(n + 1)}
+def _distance(anchor, e, i, j):
+    """Graph distance D between the sites of G indexed by i and j."""
+    d = abs(anchor[i, 0] - anchor[j, 0]) + abs(anchor[i, 1] - anchor[j, 1]) + e[i] + e[j]
+    return np.where(i == j, 0, d)
 
 
 def feasibility(bc: BoundaryCondition, theta: float, n: int) -> FeasibilityCertificate:
-    """Constraint propagation certificate for the hard-core model under the
-    given boundary condition (staircase values or smeared arcs)."""
-    boundary = _boundary_arcs(bc, n)
-    sets = {}
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            sets[(x, y)] = Arcs.full_circle()
-    queue = deque(sets.keys())
-    ok = _propagate(sets, boundary, theta, queue)
-    if not ok or any(s.empty for s in sets.values()):
-        return FeasibilityCertificate(sets, "infeasible", None)
-    if all(s.diameter < 1e-9 for s in sets.values()):
-        witness = {site: s.a_point() for site, s in sets.items()}
-        return FeasibilityCertificate(sets, "uniquely-rigid", witness)
-    return FeasibilityCertificate(sets, "feasible", None)
+    """Exact certificate (see `FeasibilityCertificate`) for the hard-core
+    model under fixed or staircase values or smeared arcs on the ring."""
+    if bc.kind == "free":
+        raise ValueError("free boundary conditions leave nothing to certify")
+    sites, _, e = _lift_graph(n)
+    ring = sites[e == 1] + n + 1
+    centres = initial_configuration(bc, n, None).grid[ring[:, 0], ring[:, 1]]
+    return _certify(centres, bc.delta if bc.kind == "smeared" else 0.0, theta, n)
+
+
+def _certify(centres, delta: float, theta: float, n: int) -> FeasibilityCertificate:
+    """Certificate for arcs of half-width delta around `centres` on R'."""
+    if 3 * theta + 2 * delta >= math.pi:
+        raise ValueError("the ring lifts uniquely only for 3 theta + 2 delta < pi")
+    step = np.roll(centres, -1) - centres
+    turns = np.rint((wrap_angle(step) - step) / TWO_PI)
+    lifted = centres + TWO_PI * np.concatenate([[0.0], np.cumsum(turns[:-1])])
+    sites, anchor, e = _lift_graph(n)
+    ring = np.flatnonzero(e)
+    reach = theta * _distance(anchor, e, np.arange(len(sites))[:, None], ring)
+    # 1e-12 keeps exactly compatible pairs compatible despite roundoff
+    if np.any(np.abs(lifted[:, None] - lifted) > reach[ring] + 2 * delta + 1e-12):
+        return FeasibilityCertificate("infeasible", None, None, None)
+    lower = (lifted - delta - reach).max(axis=1)
+    upper = (lifted + delta + reach).min(axis=1)
+    cfg = SpinConfiguration(n, np.zeros((2 * n + 3, 2 * n + 3)))
+    cfg.grid[sites[:, 0] + n + 1, sites[:, 1] + n + 1] = wrap_angle(lower)
+    bad = hardcore_violations(cfg, aizenman(theta), fixed_bc())  # bonds with an interior end
+    if bad:
+        raise RuntimeError(f"lower envelope breaks the hard core on {bad} bonds")
+    rigid = np.all((upper - lower)[e == 0] < 1e-9)
+    witness = dict(zip(map(tuple, sites.tolist()), wrap_angle(lower).tolist()))
+    return FeasibilityCertificate("uniquely-rigid" if rigid else "feasible",
+                                  witness, lower, upper)
 
 
 def feasible_point(cert: FeasibilityCertificate, bc: BoundaryCondition,
                    theta: float, n: int, rng):
-    """Randomized search for one finite-energy configuration inside the
-    certificate's arcs; returns site -> angle, or None if each of 20
-    attempts dies."""
+    """A random finite-energy configuration: site of G -> angle, or None if
+    the certificate is infeasible.
+
+    The sites of G are fixed in random order, each uniformly inside its
+    current [lower, upper], which then tightens every other site's bounds by
+    theta D.  The fixed values stay pairwise compatible, so by the argument
+    of `FeasibilityCertificate` no bounds ever cross.
+    """
     if cert.verdict == "infeasible":
         return None
-    if cert.witness is not None:
-        return dict(cert.witness)
-    boundary = _boundary_arcs(bc, n)
-    sites = sorted(cert.arcs.keys())
-    for _ in range(20):
-        sets = dict(cert.arcs)
-        order = list(sites)
-        rng.shuffle(order)
-        dead = False
-        for site in order:
-            if sets[site].empty:
-                dead = True
-                break
-            pick = sets[site].a_point(rng)
-            sets[site] = Arcs.arc(pick, 0.0)
-            queue = deque([(site[0] + d[0], site[1] + d[1])
-                           for d in [(1, 0), (-1, 0), (0, 1), (0, -1)]
-                           if (site[0] + d[0], site[1] + d[1]) in sets])
-            if not _propagate(sets, boundary, theta, queue):
-                dead = True
-                break
-        if not dead and all(not s.empty for s in sets.values()):
-            return {site: s.a_point() for site, s in sets.items()}
-    return None
+    sites, anchor, e = _lift_graph(n)
+    lo, hi = cert.lower.copy(), cert.upper.copy()
+    every = np.arange(len(sites))
+    for s in rng.permutation(len(sites)):
+        v = lo[s] + (hi[s] - lo[s]) * rng.random()  # bounds may cross by roundoff
+        reach = theta * _distance(anchor, e, s, every)
+        np.maximum(lo, v - reach, out=lo)
+        np.minimum(hi, v + reach, out=hi)
+    return dict(zip(map(tuple, sites.tolist()), wrap_angle(lo).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +567,8 @@ class AizenmanReport:
         return self.covariance_gap <= 3 * self.covariance_error
 
 
-def _covariance_check(traces: dict, sigma: int, theta: float):
+def _covariance_check(stats: ChainStats, sigma: int, theta: float):
+    traces = stats.traces
     rot = np.exp(1j * sigma * theta)
     diff = (traces["cos01"] + 1j * traces["sin01"]) \
         - rot * (traces["cos0"] + 1j * traces["sin0"])
@@ -713,8 +576,7 @@ def _covariance_check(traces: dict, sigma: int, theta: float):
     # rigid block wiggles collectively, so per-site errors dominate the
     # (much smaller) error of the difference trace; using them is the
     # conservative propagation for comparing the two published means.
-    errs = [batch_means(traces[name])[1]
-            for name in ("cos0", "sin0", "cos01", "sin01")]
+    errs = [stats.errors[name][1] for name in ("cos0", "sin0", "cos01", "sin01")]
     return abs(complex(diff.mean())), math.sqrt(sum(e * e for e in errs))
 
 
@@ -730,8 +592,6 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
     reweights feasible draws by their conditional partition function, which
     moves nothing outside the delta-tube around the staircase.
     """
-    from .interaction import aizenman
-
     theta = TWO_PI / k
     pot = aizenman(theta)
     cert = feasibility(staircase_bc(k, sigma), theta, n)
@@ -746,7 +606,7 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
     init = initial_configuration(bc, n, np.random.default_rng(0))
     report = sample_state(pot, bc, n, sweeps, seed,
                           ring_arcs=(centers, delta), init=init)
-    gap, err = _covariance_check(report.stats.traces, sigma, theta)
+    gap, err = _covariance_check(report.stats, sigma, theta)
     return AizenmanReport(report, k, sigma, delta, gap, err)
 
 

@@ -91,10 +91,9 @@ def _quadratic_form(v: np.ndarray, c: np.ndarray, box: np.ndarray) -> float:
     return float(np.sum((float(c.sum()) * v * v - 2.0 * v * conv_v + conv_v2)[box]))
 
 
-def dirichlet_energy(wave: SpinWaveField, weights: np.ndarray = None) -> float:
+def dirichlet_energy(wave: SpinWaveField) -> float:
     """sum over x in the box, y anywhere, of c(x-y)(Psi(x) - Psi(y))^2."""
-    c = wave.cgrid if weights is None else weights
-    return _quadratic_form(wave.values, c, sup_grid(wave.margin) <= wave.n)
+    return _quadratic_form(wave.values, wave.cgrid, sup_grid(wave.margin) <= wave.n)
 
 
 def compute_R_delta(v_sites, delta: float, eps: float, walk: WalkKernel,
@@ -258,7 +257,6 @@ class EntropyReport:
     gated_fraction: float
     cluster_mean: float
     cluster_comparison: float
-    smooth_term: float
 
 
 def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
@@ -293,7 +291,6 @@ def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
     # cluster comparison: Q(x <-> y) <= d_eps(x - y), hence the cluster terms
     # are bounded by 6 c1 times the d_eps quadratic form of the smooth wave
     comparison = 6.0 * c1 * dirichlet_energy(wave)
-    smooth = 3.0 * c1 * dirichlet_energy(wave, weights=j_grid)
     return EntropyReport(n, eps, samples, mean, (mean - half, mean + half),
                          gated / samples, float(np.mean(cluster_vals)),
-                         comparison, smooth)
+                         comparison)

@@ -277,6 +277,20 @@ radius = 128
         assert main(["run", "--config", p]) == 2
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("name, key, spec", [
+        ("rotation", "potential", "bogus(1)"),
+        ("decompose51", "potential", "aizenman(7)"),
+        ("twopoint", "potential", "xy(1, 2)"),
+        ("recurrence", "kernel", "powerlaw(x)"),
+        ("entropy", "kernel", "logcorr(1)"),
+    ])
+    def test_bad_preset_is_config_error(self, tmp_path, capsys, name, key, spec):
+        p = write_config(tmp_path / "c.ini", "[experiment]\nname = %s\nout = %s\n\n"
+                         "[%s]\n%s = %s\n" % (name, tmp_path / "out", name, key, spec))
+        assert main(["run", "--config", p]) == 2
+        assert f"{name}.{key}: unknown or malformed preset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_error_exit_code(self, tmp_path):
         p = write_config(tmp_path / "c.ini", """
 [experiment]

@@ -9,7 +9,6 @@ from spinlab.interaction import (
     _truncated_fourier,
     absval,
     aizenman,
-    circle_dist,
     decompose,
     domination_epsilon,
     logsing,

@@ -3,7 +3,6 @@ import pytest
 from spinlab.lattice import (
     DualPath,
     box_sites,
-    canonical_bond,
     circuit_from_crossings,
     component_boundary,
     crossed_bond,

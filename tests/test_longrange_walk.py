@@ -5,7 +5,6 @@ import pytest
 from scipy.signal import convolve2d
 
 from spinlab.longrange_walk import (
-    ConnectivityBound,
     CouplingKernel,
     connectivity_bound,
     default_ladder,

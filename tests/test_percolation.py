@@ -221,7 +221,7 @@ class TestSparseness:
         a = {b for b in box_bonds(16) if rng.random() < 0.04}
         cert = sparseness_certificate(a, n=16, rho=0.5, alpha=0.1)
         used = set()
-        for k, circ in cert.circuits:
+        for _, circ in cert.circuits:
             assert circ.is_circuit
             assert circ.winding_number() == 1
             assert circ.avoids(a)

@@ -7,10 +7,10 @@ from scipy.integrate import quad
 from scipy.special import i0, i1
 
 from spinlab import sampler
-from spinlab.interaction import (TrigPolynomial, absval, aizenman, decompose,
-                                 wrap_angle, xy)
+from spinlab.interaction import (TrigPolynomial, absval, aizenman, circle_dist,
+                                 decompose, wrap_angle, xy)
+from spinlab.lattice import layer_sites
 from spinlab.sampler import (
-    Arcs,
     SpinConfiguration,
     aizenman_state,
     batch_means,
@@ -263,76 +263,139 @@ class TestRotationDiscrepancy:
         assert large.discrepancy < small.discrepancy
 
 
-class TestArcs:
-    def test_arc_and_measure(self):
-        a = Arcs.arc(0.0, 0.5)
-        assert a.measure == pytest.approx(1.0)
-        assert a.contains(0.4) and a.contains(-0.4)
-        assert not a.contains(1.0)
+def brute_force_feasible(values, k, j):
+    """Transfer-matrix verdict at n = 1 with angles in (2pi/k)Z: ring values
+    `values` (in Z_k, in R' order) with arcs of j steps, every bond within
+    one step.  Columns x = -1, 0, 1 of the box are swept left to right; a
+    column state is its three values, and the states reachable from the
+    left are the previous ones grown by one step in each coordinate."""
+    ring = dict(zip([p for p in layer_sites(2) if abs(p[0]) != abs(p[1])], values))
+    v = np.arange(k)
+    col = np.meshgrid(v, v, v, indexing="ij")  # values at x2 = -1, 0, 1
 
-    def test_wraparound_intersection(self):
-        a = Arcs.arc(0.0, 0.5)  # straddles the cut at 0/2pi
-        b = Arcs.arc(0.3, 0.4)
-        c = a.intersect(b)
-        assert c.contains(0.2)
-        assert not c.contains(-0.3)
-        assert c.measure == pytest.approx(0.6)
+    def near(a, b, r):
+        d = (a - b) % k
+        return np.minimum(d, k - d) <= r
 
-    def test_dilate_to_full(self):
-        assert Arcs.arc(1.0, 0.1).dilate(math.pi).full
+    # a ring site with an arc of j steps, one bond from its interior
+    # neighbour, leaves that neighbour the values within j + 1 steps
+    reach = None
+    for x in (-1, 0, 1):
+        ok = near(col[0], col[1], 1) & near(col[1], col[2], 1)
+        ok &= near(col[2], ring[(x, 2)], j + 1) & near(col[0], ring[(x, -2)], j + 1)
+        if x != 0:
+            for y in (-1, 0, 1):
+                ok &= near(col[y + 1], ring[(2 * x, y)], j + 1)
+        if reach is not None:
+            for axis in range(3):
+                reach = reach | np.roll(reach, 1, axis) | np.roll(reach, -1, axis)
+            ok &= reach
+        reach = ok
+    return bool(reach.any())
 
-    def test_diameter(self):
-        assert Arcs.arc(0.0, 0.2).diameter == pytest.approx(0.4)
-        two = Arcs([(0.0, 0.1), (3.0, 3.1)])
-        assert two.diameter == pytest.approx(3.1)
-        assert Arcs.full_circle().diameter == math.pi
 
-    def test_point_membership(self):
-        rng = np.random.default_rng(0)
-        a = Arcs([(0.5, 1.0), (4.0, 4.5)])
-        for _ in range(20):
-            assert a.contains(a.a_point(rng))
-        assert a.contains(a.a_point())
+def assert_finite_energy(point, bc, n):
+    """`point` covers the box and the ring minus its corners, has no bond
+    over the cutoff and keeps each ring value inside its arc."""
+    cfg = initial_configuration(bc, n, None)
+    half = bc.delta if bc.kind == "smeared" else 0.0
+    assert len(point) == (2 * n + 1) ** 2 + 8 * n + 4
+    for (x, y), v in point.items():
+        if max(abs(x), abs(y)) > n:
+            assert circle_dist(v - cfg.at((x, y))) <= half + 1e-12
+        cfg.grid[x + n + 1, y + n + 1] = v
+    assert hardcore_violations(cfg, aizenman(THETA12), bc) == 0
 
 
 class TestFeasibility:
     def test_constant_bc_feasible_not_rigid(self):
         cert = feasibility(staircase_bc(12, 0), THETA12, 4)
         assert cert.verdict == "feasible"
-        assert cert.witness is None
+        # the witness is the lower envelope: minus theta times the
+        # distance to the ring
+        assert cert.witness[(0, 0)] == pytest.approx(-5 * THETA12)
+        assert cert.witness[(4, -2)] == pytest.approx(-THETA12)
+        assert cert.witness[(5, -2)] == 0.0
 
     def test_sigma_one_uniquely_rigid(self):
-        cert = feasibility(staircase_bc(12, 1), THETA12, 6)
-        assert cert.verdict == "uniquely-rigid"
         bc = staircase_bc(12, 1)
+        cert = feasibility(bc, THETA12, 6)
+        assert cert.verdict == "uniquely-rigid"
         for site, angle in cert.witness.items():
             want = float(staircase_angle(bc, site[1]))
-            assert abs(math.remainder(angle - want, 2 * math.pi)) < 1e-6
-        # randomized search agrees with the witness
+            assert abs(math.remainder(angle - want, 2 * math.pi)) < 1e-9
         point = feasible_point(cert, bc, THETA12, 6, np.random.default_rng(1))
-        assert point == cert.witness
+        assert point.keys() == cert.witness.keys()
+        for site, angle in point.items():
+            assert abs(math.remainder(angle - cert.witness[site], 2 * math.pi)) < 1e-9
 
     def test_sigma_two_infeasible(self):
-        # the sigma = 2 staircase itself has vertical steps of twice the
-        # cutoff, and propagation confirms no finite-energy configuration
+        # the sigma = 2 staircase climbs 4 theta between (1, 2) and (1, -2),
+        # which lie at graph distance 4, so it has no finite-energy filling
         cert = feasibility(staircase_bc(12, 2), THETA12, 4)
         assert cert.verdict == "infeasible"
         assert feasible_point(cert, staircase_bc(12, 2), THETA12, 4,
                               np.random.default_rng(0)) is None
 
+    @pytest.mark.parametrize("bc, n", [
+        (fixed_bc(1.0), 2), (staircase_bc(12, 0), 4), (staircase_bc(12, 1), 6),
+        (smeared_bc(12, 0.6, 2), 0)])
+    def test_witness_and_random_points_have_finite_energy(self, bc, n):
+        cert = feasibility(bc, THETA12, n)
+        assert cert.verdict != "infeasible"
+        assert_finite_energy(cert.witness, bc, n)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            assert_finite_energy(feasible_point(cert, bc, THETA12, n, rng), bc, n)
+
     def test_smeared_search_finds_valid_point(self):
         bc = smeared_bc(12, delta=0.05, sigma=1)
         cert = feasibility(bc, THETA12, 3)
         assert cert.verdict == "feasible"
+        assert_finite_energy(cert.witness, bc, 3)
         rng = np.random.default_rng(2)
-        point = feasible_point(cert, bc, THETA12, 3, rng)
-        assert point is not None
-        for (x, y), v in point.items():
-            for dx, dy in [(1, 0), (0, 1)]:
-                q = (x + dx, y + dy)
-                if q in point:
-                    d = abs(math.remainder(v - point[q], 2 * math.pi))
-                    assert d <= THETA12 + 1e-9
+        for _ in range(3):
+            assert_finite_energy(feasible_point(cert, bc, THETA12, 3, rng), bc, 3)
+
+    def test_smearing_widens_the_arcs(self):
+        # at n = 0 the sigma = 2 ring values 2 theta and -2 theta sit at
+        # distance 2, so arcs of half-width delta fit iff delta >= theta
+        assert feasibility(smeared_bc(12, 0.5, 2), THETA12, 0).verdict == "infeasible"
+        assert feasibility(smeared_bc(12, 0.6, 2), THETA12, 0).verdict == "feasible"
+
+    def test_rejects_free_bc_and_wide_cutoffs(self):
+        with pytest.raises(ValueError):
+            feasibility(free_bc(), THETA12, 2)
+        with pytest.raises(ValueError):  # 3 theta = pi
+            feasibility(staircase_bc(6, 1), 2 * math.pi / 6, 2)
+        with pytest.raises(ValueError):  # 3 theta + 2 delta > pi
+            feasibility(smeared_bc(12, 0.8, 1), THETA12, 2)
+
+    def test_winding_ring_infeasible(self):
+        # steps of 0 or 2pi/7 between consecutive ring sites: every
+        # consecutive pair is close, but the ring winds once
+        values = np.arange(12) * 7 // 12
+        theta = 2 * math.pi / 7
+        assert not brute_force_feasible(values, 7, 0)
+        cert = sampler._certify(wrap_angle(theta * values), 0.0, theta, 1)
+        assert cert.verdict == "infeasible"
+
+    @pytest.mark.parametrize("k, j", [(7, 0), (9, 0), (12, 0), (12, 1)])
+    def test_matches_brute_force_at_n1(self, k, j):
+        # the lower envelope of lattice data stays on the lattice, so the
+        # verdict on (2pi/k)Z is the verdict on the circle
+        theta = 2 * math.pi / k
+        rng = np.random.default_rng(100 * k + j)
+        verdicts = set()
+        for trial in range(300):
+            if trial % 2:
+                values = rng.integers(0, k, 12)
+            else:
+                values = (rng.integers(0, k) + np.cumsum(rng.integers(-2, 3, 12))) % k
+            cert = sampler._certify(wrap_angle(theta * values), j * theta, theta, 1)
+            assert (cert.verdict != "infeasible") == brute_force_feasible(values, k, j), values
+            verdicts.add(cert.verdict)
+        assert {"feasible", "infeasible"} <= verdicts
 
 
 class TestAizenmanState:

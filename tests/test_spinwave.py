@@ -12,7 +12,6 @@ from spinlab.longrange_walk import (
     powerlaw_kernel,
 )
 from spinlab.spinwave import (
-    DeformedSpinWave,
     SpinWaveField,
     cluster_reach,
     compute_R_delta,
@@ -388,7 +387,6 @@ class TestEntropyBound:
         bonds = [((3, 0), (5, 0)), ((0, 4), (0, 6)), ((-4, -4), (-5, -4))]
         dw = deform(small_wave, bonds)
         est = entropy_bound(dw, j_grid, c1=1.0)
-        m = small_wave.margin
         direct = 0.0
         n = small_wave.n
         for x1 in range(-n, n + 1):
