@@ -223,22 +223,24 @@ def _run_spinwave(p, seed):
 
     walk = normalize(kernel_preset(p["kernel"]))
     rows = []
-    field_rows = []
     energies = []
+    iterations = []
     for n in p["ns"]:
         wave = solve_spinwave(walk, n, p["inner"], p["psi"], eps=p["eps"])
         e = dirichlet_energy(wave)
         energies.append(e)
+        iterations.append(wave.iterations)
         rows.append([n, p["inner"], p["psi"], e, wave.residual])
-    m = wave.margin
-    for x in range(-wave.n, wave.n + 1):
-        for y in range(-wave.n, wave.n + 1):
-            field_rows.append([x, y, float(wave.values[x + m, y + m])])
+    n, m = wave.n, wave.margin
+    xs, ys = np.indices((2 * n + 1, 2 * n + 1)) - n
+    box = wave.values[m - n:m + n + 1, m - n:m + n + 1]
+    field_rows = list(zip(xs.ravel().tolist(), ys.ravel().tolist(),
+                          box.ravel().tolist()))
     tables = {
         "spinwave.csv": (["n", "inner", "psi", "energy", "residual"], rows),
         "field.csv": (["x1", "x2", "value"], field_rows),
     }
-    return tables, {"energies": energies,
+    return tables, {"energies": energies, "cg_iterations": iterations,
                     "decreasing": bool(all(a > b for a, b in zip(energies, energies[1:])))}
 
 

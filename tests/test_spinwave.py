@@ -3,16 +3,21 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
 from spinlab.lattice import sup_grid, sup_norm
 from spinlab.longrange_walk import (
     connectivity_bound,
+    kernel_preset,
     nn_kernel,
     normalize,
     powerlaw_kernel,
 )
 from spinlab.spinwave import (
     SpinWaveField,
+    _quadratic_form,
+    _sine_symbol,
     cluster_reach,
     compute_R_delta,
     conductance_grid,
@@ -102,6 +107,71 @@ class TestSolver:
             assert abs(small_wave.at(start) - p_hat) < 3 * sigma + 1e-9
 
 
+def direct_solve(cgrid, n, inner, psi):
+    """The spin-wave field on the margin grid by one sparse direct solve of
+    the assembled operator c_tot u(x) - sum_d c(d) u(x + d) on the free
+    sites."""
+    k = (cgrid.shape[0] - 1) // 2
+    sup = sup_grid(n + k)
+    free = (sup > inner) & (sup <= n)
+    fixed = np.where(sup <= inner, psi, 0.0)
+    fx, fy = np.nonzero(free)
+    index = np.full(sup.shape, -1)
+    index[fx, fy] = np.arange(len(fx))
+    diag = np.arange(len(fx))
+    rows, cols, vals = [diag], [diag], [np.full(len(fx), cgrid.sum())]
+    rhs = np.zeros(len(fx))
+    for dx, dy in zip(*np.nonzero(cgrid)):
+        j = index[fx + dx - k, fy + dy - k]
+        rows.append(np.flatnonzero(j >= 0))
+        cols.append(j[j >= 0])
+        vals.append(np.full(len(rows[-1]), -cgrid[dx, dy]))
+        rhs += cgrid[dx, dy] * fixed[fx + dx - k, fy + dy - k]
+    a = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(len(fx), len(fx)))
+    u = fixed.copy()
+    u[fx, fy] = spsolve(a, rhs)
+    return u
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("kernel, radius", [("nn", None), ("powerlaw(3.5)", 12)])
+    def test_direct_solve_oracle(self, kernel, radius):
+        walk = normalize(kernel_preset(kernel, radius=32))
+        cgrid = conductance_grid(walk, 0.2, radius=radius)
+        wave = solve_spinwave(walk, 8, 2, math.pi / 4, cgrid=cgrid)
+        direct = direct_solve(cgrid, 8, 2, math.pi / 4)
+        assert np.max(np.abs(wave.values - direct)) < 1e-10
+
+    def test_iterations_flat_in_n(self, nn_walk):
+        # unpreconditioned CG needs 58, 115, 227 and 450 iterations here
+        its = [solve_spinwave(nn_walk, n, 2, math.pi / 4).iterations
+               for n in (16, 32, 64, 128)]
+        assert max(its) <= 8, its
+
+    def test_exact_for_nearest_neighbour_conductances(self, nn_walk):
+        # for c = 1 on the four neighbours the symbol is the exact spectrum
+        # of the operator on the box, so CG has only the 5 x 5 hole left
+        cgrid = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        its = [solve_spinwave(nn_walk, n, 2, 1.0, cgrid=cgrid).iterations
+               for n in (4, 32, 128)]
+        assert max(its) <= 3, its
+
+    def test_iterations_flat_in_n_long_range(self):
+        walk = normalize(powerlaw_kernel(3.5, radius=32))
+        cgrid = conductance_grid(walk, 0.2, radius=48)
+        its = [solve_spinwave(walk, n, 2, math.pi / 4, cgrid=cgrid).iterations
+               for n in (16, 32, 64)]
+        assert max(its) <= 12, its
+
+    @pytest.mark.parametrize("kernel", ["nn", "powerlaw(3.5)", "logcorr(2)",
+                                        "logcorr_eps(2, 0.5)"])
+    def test_symbol_positive_for_presets(self, kernel):
+        cgrid = conductance_grid(normalize(kernel_preset(kernel)), 0.2)
+        for n in (4, 128):
+            assert _sine_symbol(cgrid, 2 * n + 1).min() > 0
+
+
 class TestDirichletEnergy:
     def test_brute_force_oracle(self, nn_walk):
         rng = np.random.default_rng(11)
@@ -110,7 +180,7 @@ class TestDirichletEnergy:
         values = np.zeros((2 * margin + 1, 2 * margin + 1))
         box = sup_grid(margin) <= n
         values[box] = rng.uniform(0, 1, size=int(box.sum()))
-        wave = SpinWaveField(n, 1, 1.0, values, margin, cgrid, 0.0)
+        wave = SpinWaveField(n, 1, 1.0, values, margin, cgrid, 0.0, 0)
         direct = 0.0
         for x1 in range(-n, n + 1):
             for x2 in range(-n, n + 1):
@@ -374,13 +444,20 @@ class TestBondSampler:
             sample_long_range_bonds(0.9, j_grid, 1, np.random.default_rng(0))
 
 
+def smooth_term(wave, j_grid, c1):
+    """The third Jensen term, 3 c1 Q(Psi), of the undeformed wave."""
+    box = sup_grid(wave.margin) <= wave.n
+    return 3 * c1 * _quadratic_form(wave.values, j_grid, box)
+
+
 class TestEntropyBound:
     def test_no_bonds_reduces_to_smooth_form(self, nn_walk, small_wave):
         j_grid = nn_walk.grid_values(small_wave.margin)
         est = entropy_bound(deform(small_wave, []), j_grid, c1=2.0)
         assert est.term_cluster_x == 0.0
         assert est.term_cluster_y == 0.0
-        assert est.value == pytest.approx(est.term_smooth / 3, rel=1e-10)
+        assert est.value == pytest.approx(smooth_term(small_wave, j_grid, 2.0) / 3,
+                                          rel=1e-10)
 
     def test_brute_force_quadratic_form(self, nn_walk, small_wave):
         j_grid = nn_walk.grid_values(1)
@@ -401,7 +478,9 @@ class TestEntropyBound:
         for _ in range(5):
             bonds = sample_long_range_bonds(0.3, j_grid, small_wave.margin, rng)
             est = entropy_bound(deform(small_wave, bonds), j_grid, c1=1.5)
-            assert est.value <= est.jensen_total + 1e-12
+            jensen = (est.term_cluster_x + est.term_cluster_y
+                      + smooth_term(small_wave, j_grid, 1.5))
+            assert est.value <= jensen + 1e-12
 
     def test_gated_wave_has_zero_entropy(self, nn_walk, small_wave):
         j_grid = nn_walk.grid_values(2)
