@@ -43,7 +43,10 @@ class ConfigError(Exception):
 
 
 def _int_list(v):
-    return [int(x) for x in str(v).split(",") if x.strip()]
+    xs = [int(x) for x in str(v).split(",") if x.strip()]
+    if not xs:
+        raise ValueError("empty list")
+    return xs
 
 
 def _parses(parse, spec) -> bool:
@@ -542,7 +545,7 @@ EXPERIMENTS = {
     "twopoint": Experiment({
         "potential": (str, "xy(0.5)", _potential_ok, _NOT_PRESET),
         "n": (int, 12, lambda x: x >= 2, "must be >= 2"),
-        "distances": (_int_list, [1, 2, 4, 8], lambda xs: len(xs) >= 1, "need distances"),
+        "distances": (_int_list, [1, 2, 4, 8], None, ""),
         "sweeps": (int, 4000, lambda x: x >= 64, "must be >= 64"),
     }, _run_twopoint, _check_twopoint),
     "aizenman": Experiment({

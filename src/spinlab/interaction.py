@@ -79,7 +79,10 @@ def logsing(floor: float = -30.0) -> PairPotential:
     weight |phi|^{-4} puts all but about 2e-4 of its mass within 1e-12 of
     that angle at the default floor.  A Metropolis chain started from an
     ordered state stays in that well: it accepts no move, and its tuned
-    proposal width sits at the 1e-3 floor.
+    proposal width sits at the 1e-3 floor.  It lies outside the paper's
+    integrable singularities, and :func:`decompose` refuses it: between the
+    nodes of its grid the interpolant overshoots the log by far more than
+    any eps (upsilon spans [-20.8, 4.98] at 4096 nodes).
     """
 
     def f(p):
@@ -131,6 +134,18 @@ class TrigPolynomial:
             out += self.sin_coeffs[s - 1] * np.sin(s * phi)
         return out
 
+    def on_grid(self, m: int) -> np.ndarray:
+        """Values at phi_j = -pi + 2 pi j / m, j < m, by one inverse FFT.
+
+        Mode s goes to bin s mod m with the phase e^{i s phi_0} = (-1)^s, so
+        modes of any degree fold onto the grid exactly as they alias there.
+        """
+        s = np.arange(1, self.degree + 1)
+        spec = np.zeros(m, dtype=complex)
+        np.add.at(spec, s % m, (self.cos_coeffs - 1j * self.sin_coeffs)
+                  * np.where(s % 2, -1.0, 1.0))
+        return self.c0 + m * np.fft.ifft(spec).real
+
     def second_derivative(self, phi):
         phi = np.asarray(phi, dtype=float)
         out = np.zeros(phi.shape)
@@ -161,7 +176,6 @@ class SingularDecomposition:
     smooth: TrigPolynomial
     original: PairPotential
     epsilon: float
-    grid: np.ndarray = field(repr=False)
 
     def upsilon(self, phi):
         return self.smooth(wrap_angle(phi)) - self.original(phi)
@@ -169,13 +183,6 @@ class SingularDecomposition:
     @property
     def second_derivative_bound(self) -> float:
         return second_derivative_bound(self.smooth)
-
-    def verify(self, tol: float = 1e-9) -> None:
-        ups = self.upsilon(self.grid)
-        if np.min(ups) < -tol:
-            raise AssertionError(f"upsilon dips to {np.min(ups)}")
-        if np.max(ups) > self.epsilon + tol:
-            raise AssertionError(f"upsilon peaks at {np.max(ups)} > {self.epsilon}")
 
 
 def _truncated_fourier(values: np.ndarray, degree: int) -> TrigPolynomial:
@@ -194,80 +201,72 @@ def _truncated_fourier(values: np.ndarray, degree: int) -> TrigPolynomial:
     return TrigPolynomial(c0, rot.real.copy(), -rot.imag.copy())
 
 
-def decompose(pot: PairPotential, eps: float, grid_size: int = 4096,
-              max_degree: Optional[int] = None) -> SingularDecomposition:
-    """Write a potential as U - upsilon with 0 <= upsilon <= eps on its grid.
+def _grid(m: int) -> np.ndarray:
+    return -math.pi + TWO_PI * np.arange(m) / m
 
-    A truncated Fourier approximation P of the potential is refined until its
-    sup error on the grid of `grid_size` points is <= eps/2; then
-    U = P + max(Ubar - P), so upsilon = U - Ubar lies in [0, eps] there.  At
-    the default degree cap grid_size/2 the polynomial is the grid interpolant
-    (the Nyquist mode counted once), so its grid error is rounding alone
-    (4.4e-12 for `logsing` on 4096 points).  Between
-    grid points nothing is checked: for `logsing` at eps = 0.5, upsilon
-    spans [-20.8, 4.98] on a grid 16 times finer.
+
+def decompose(pot: PairPotential, eps: float,
+              grid_size: int = 4096) -> SingularDecomposition:
+    """Write a potential as U - upsilon with 0 <= upsilon <= eps, checked.
+
+    The truncated Fourier series P of the potential's values on `grid_size`
+    points doubles in degree until its sup error there is <= eps/2, or up to
+    degree grid_size/2, the grid interpolant (the Nyquist mode counted
+    once).  Then U = P + max(Ubar - P) over that grid.  Upsilon = U - Ubar
+    is checked on a grid 16 times finer, which contains the first; if it
+    leaves [0, eps] there (up to 1e-9), the potential is too rough for
+    this eps and ValueError is raised.  `logsing` is refused so.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if max_degree is None:
-        max_degree = grid_size // 2
     if pot.is_hard_core:
         raise ValueError("cannot decompose a hard-core potential")
-    grid = -math.pi + TWO_PI * np.arange(grid_size) / grid_size
-    target = pot(grid)
+    target = pot(_grid(grid_size))
     if not np.all(np.isfinite(target)):
         raise ValueError("potential is not finite on the grid; clamp it first")
     degree = 1
-    best = None
-    while degree <= max_degree:
+    while True:
         poly = _truncated_fourier(target, degree)
-        err = float(np.max(np.abs(poly(grid) - target)))
-        best = (poly, err)
-        if err <= eps / 2:
+        resid = target - poly.on_grid(grid_size)
+        if np.max(np.abs(resid)) <= eps / 2 or 2 * degree > grid_size // 2:
             break
         degree *= 2
-    poly, err = best
-    if err > eps / 2:
+    smooth = TrigPolynomial(poly.c0 + float(np.max(resid)), poly.cos_coeffs,
+                            poly.sin_coeffs)
+    fine = 16 * grid_size
+    ups = smooth.on_grid(fine) - pot(_grid(fine))
+    lo, hi = float(np.min(ups)), float(np.max(ups))
+    if not (lo >= -1e-9 and hi <= eps + 1e-9):
         raise ValueError(
-            f"no trig polynomial of degree <= {max_degree} reaches sup error "
-            f"{eps / 2:.3g} (got {err:.3g}); potential too rough for this eps")
-    offset = float(np.max(target - poly(grid)))
-    smooth = TrigPolynomial(poly.c0 + offset, poly.cos_coeffs, poly.sin_coeffs)
-    dec = SingularDecomposition(smooth, pot, eps, grid)
-    dec.verify()
-    return dec
+            f"upsilon spans [{lo:.4g}, {hi:.4g}] on a grid 16x finer, outside "
+            f"[0, {eps:g}]; potential too rough for this eps")
+    return SingularDecomposition(smooth, pot, eps)
 
 
 def verify_condition_51(dec: SingularDecomposition) -> float:
     """Worst-case ratio of the tilted to the untilted single-site integral.
 
-    The ratio is taken over a grid of boundary angles (phi_2, phi_3, phi_4)
-    with phi_1 = 0, which is exhaustive up to the rotation invariance of the
-    integrals.  All angles and the quadrature nodes live on one grid so the
-    four shifted copies of U are exact rolls.
+    The integrals are sums over phi of prod_i w(phi - phi_i), w = e^{-(U -
+    min U)}, tilted by e^{upsilon} in each factor, for boundary angles
+    (phi_2, phi_3, phi_4) on a grid with phi_1 = 0: exhaustive up to
+    rotation invariance.  Angles and nodes share one grid, so with E the
+    rolls of w the sums for one phi_2 are the matrix (E * E_0 E_{phi_2}) E^T.
+    ValueError: an untilted sum below the smallest normal float (xy(J) for
+    J above about 180) or a tilted one not finite.
     """
     m, search_points = 2048, 32  # quadrature nodes; boundary angles per axis
-    grid = -math.pi + TWO_PI * np.arange(m) / m
-    u = dec.smooth(grid)
-    v = u - dec.original(grid)  # upsilon on the grid
-    if not np.all(np.isfinite(u)):
-        raise ValueError("quadrature failure: smooth part not finite")
-    step = m // search_points
-    shifts = np.arange(search_points) * step
-    u_roll = np.stack([np.roll(u, s) for s in shifts])  # (P, m)
-    v_roll = np.stack([np.roll(v, s) for s in shifts])
+    u = dec.smooth.on_grid(m)
+    w = np.exp(-(u - np.min(u)))
+    tilted = w * np.exp(u - dec.original(_grid(m)))
+    shifts = np.arange(search_points) * (m // search_points)
+    rolls = (np.arange(m) - shifts[:, None]) % m  # row k is np.roll by shifts[k]
+    e, f = w[rolls], tilted[rolls]
     worst = 1.0
-    base_u = u_roll[0]
-    base_v = v_roll[0]
     for i2 in range(search_points):
-        # (P, P, m) block over (phi_3, phi_4) for this phi_2
-        su = base_u + u_roll[i2] + u_roll[:, None, :] + u_roll[None, :, :]
-        sv = base_v + v_roll[i2] + v_roll[:, None, :] + v_roll[None, :, :]
-        su -= su.min(axis=-1, keepdims=True)  # underflow guard
-        denom = np.exp(-su).mean(axis=-1)
-        numer = np.exp(-su + sv).mean(axis=-1)
-        if not np.all(np.isfinite(numer)):
-            raise ValueError("quadrature failure: integrand overflow")
+        denom = (e * (e[0] * e[i2])) @ e.T
+        numer = (f * (f[0] * f[i2])) @ f.T
+        if not (np.all(denom >= np.finfo(float).tiny) and np.all(np.isfinite(numer))):
+            raise ValueError("quadrature failure: integrand under- or overflows")
         worst = max(worst, float(np.max(numer / denom)))
     return worst
 

@@ -164,9 +164,7 @@ def compute_R_delta(v_sites, delta: float, eps: float, walk: WalkKernel,
 @dataclass
 class DeformedSpinWave:
     base: SpinWaveField
-    bonds: object  # A as passed to deform: a (k, 2, 2) array or site pairs
     values: np.ndarray
-    witness: dict  # site -> t_A(x), only for sites whose value moved
     r_a: int  # cluster reach of the gate set V
     gated: bool  # True when r_A(V) > R(delta) forced the wave to zero
 
@@ -205,27 +203,22 @@ def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
            r_delta: int = None) -> DeformedSpinWave:
     """Cluster-wise minimum of the wave over the A-clusters (identity off
     clusters); if the clusters of V reach beyond r_delta the whole deformed
-    wave is set to zero.  The witness of a cluster is its lexicographically
-    smallest site of least value."""
+    wave is set to zero."""
     m = wave.margin
     sites, labels, r_a = _clusters(bonds, v_sites)
     if r_delta is not None and r_a > r_delta:
-        return DeformedSpinWave(wave, bonds, np.zeros_like(wave.values), {},
-                                r_a, True)
+        return DeformedSpinWave(wave, np.zeros_like(wave.values), r_a, True)
     inside = np.abs(sites).max(axis=1) <= m
     x, y = sites[inside].T + m
     vals = np.zeros(len(sites))
     vals[inside] = wave.values[x, y]
-    # sorted by label, then value; the sort is stable, so ties stay in
-    # lexicographic order and the first site of each label is its witness
+    # sorted by label, then value: the first site of each label holds its
+    # cluster's minimum
     order = np.lexsort((vals, labels))
     best = order[np.diff(labels[order], prepend=-1) != 0][labels]
     values = wave.values.copy()
     values[x, y] = vals[best[inside]]
-    site = list(map(tuple, sites.tolist()))
-    witness = {site[i]: site[w] for i, w in
-               zip(np.flatnonzero(inside).tolist(), best[inside].tolist())}
-    return DeformedSpinWave(wave, bonds, values, witness, r_a, False)
+    return DeformedSpinWave(wave, values, r_a, False)
 
 
 @dataclass

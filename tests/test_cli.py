@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from spinlab.cli import EXPERIMENTS, ConfigError, load_config, main, run, verify
+from spinlab.cli import (EXPERIMENTS, ConfigError, _int_list, load_config, main, run,
+                         verify)
 
 # the smallest config of each experiment that still exercises its runner
 TINY = {
@@ -291,6 +292,17 @@ radius = 128
         assert f"{name}.{key}: unknown or malformed preset" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, key", sorted(
+        (name, key) for name, exp in EXPERIMENTS.items()
+        for key, (parse, *_) in exp.params.items() if parse is _int_list))
+    @pytest.mark.parametrize("value", ["", " , "], ids=["empty", "commas"])
+    def test_empty_list_is_config_error(self, tmp_path, capsys, name, key, value):
+        p = write_config(tmp_path / "c.ini", "[experiment]\nname = %s\nout = %s\n\n"
+                         "[%s]\n%s = %s\n" % (name, tmp_path / "out", name, key, value))
+        assert main(["run", "--config", p]) == 2
+        assert f"{name}.{key}: cannot parse" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_error_exit_code(self, tmp_path):
         p = write_config(tmp_path / "c.ini", """
 [experiment]
@@ -303,6 +315,20 @@ n = 3
 sweeps = 100
 """ % (tmp_path / "out"))
         assert main(["run", "--config", p]) == 1
+
+    def test_logsing_decomposition_refused(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.ini", """
+[experiment]
+name = decompose51
+out = %s
+
+[decompose51]
+potential = logsing
+""" % (tmp_path / "out"))
+        assert main(["run", "--config", p]) == 1
+        assert "too rough for this eps" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not os.listdir(out)
 
     def test_twopoint_distance_outside_box_exits_1(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.ini", """

@@ -5,7 +5,10 @@ module-level function or class of the package without a caller outside the
 module tests."""
 
 import ast
+import importlib.util
+import inspect
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -150,3 +153,47 @@ def test_caller_guard_catches_dead_code():
     }
     assert uncalled_names(modules, {"patched", "main"}) == ["a.recursive"]
     assert uncalled_names(modules, set()) == ["a.patched", "a.recursive", "b.main"]
+
+
+def _spinlab_attributes() -> dict:
+    """(owner, attribute) -> value for every loaded spinlab module and
+    every class those modules define."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "spinlab" and not name.startswith("spinlab."):
+            continue
+        for attr, value in vars(mod).items():
+            out[name, attr] = value
+            if inspect.isclass(value) and value.__module__ == name:
+                for key, member in vars(value).items():
+                    out[f"{name}.{attr}", key] = member
+    return out
+
+
+def test_benchmark_hooks_install_and_restore():
+    # the benchmark patches spinlab by attribute name; a rename breaks its
+    # traced runs, so install both hook layers here and take them off again
+    spec = importlib.util.spec_from_file_location(
+        "spinbench_tracing", ROOT / "spinbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for path in MODULES:
+        if path.stem != "__init__":
+            importlib.import_module(f"spinlab.{path.stem}")
+
+    before = _spinlab_attributes()
+    capture, tracer = tracing.Capture(), tracing.Tracer()
+    capture.install()
+    tracer.install()
+    try:
+        during = _spinlab_attributes()
+        patched = {k for k in before if during[k] is not before[k]}
+        assert ("spinlab.interaction", "decompose") in patched
+        assert ("spinlab.interaction", "verify_condition_51") in patched
+        assert ("spinlab.interaction.PairPotential", "__call__") in patched
+    finally:
+        tracer.uninstall()
+        capture.uninstall()
+    after = _spinlab_attributes()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []

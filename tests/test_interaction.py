@@ -67,26 +67,32 @@ class TestDecompose:
 
     def test_absval_decomposes(self):
         dec = decompose(absval(), eps=0.2)
-        dec.verify()
         ups = dec.upsilon(GRID)
         assert np.min(ups) >= -1e-9
         assert np.max(ups) <= 0.2 + 1e-9
 
-    def test_logsing_decomposes(self):
-        dec = decompose(logsing(-30.0), eps=0.5)
-        dec.verify()
-        # upsilon concentrated near the singularity
-        ups = dec.upsilon(GRID)
-        far = np.abs(GRID) > 0.5
-        assert np.max(np.abs(ups[far])) < np.max(ups)
+    def test_absval_upsilon_between_nodes(self):
+        # off every grid decompose used: 100003 is prime
+        dec = decompose(absval(), eps=0.5)
+        ups = dec.upsilon(-math.pi + 2 * math.pi * np.arange(100003) / 100003)
+        assert np.min(ups) >= -1e-12
+        assert 0.31 < np.max(ups) <= 0.3122
+
+    @pytest.mark.parametrize("grid", [256, 1024, 4096])
+    def test_logsing_refused(self, grid):
+        # the grid interpolant of log|phi| meets the potential at the nodes
+        # and overshoots between them
+        with pytest.raises(ValueError, match="too rough for this eps"):
+            decompose(logsing(-30.0), eps=0.5, grid_size=grid)
 
     def test_hard_core_rejected(self):
         with pytest.raises(ValueError):
             decompose(aizenman(0.5), eps=0.1)
 
     def test_too_rough_raises(self):
-        with pytest.raises(ValueError):
-            decompose(absval(), eps=1e-9, max_degree=4)
+        # the degree-2048 interpolant is exact on the grid, not between nodes
+        with pytest.raises(ValueError, match="too rough for this eps"):
+            decompose(absval(), eps=1e-9)
 
     @pytest.mark.parametrize("m", [64, 65, 256])
     def test_full_degree_interpolates_grid(self, m):
@@ -96,6 +102,23 @@ class TestDecompose:
         vals = np.random.default_rng(m).normal(size=m)
         poly = _truncated_fourier(vals, m // 2)
         assert np.max(np.abs(poly(grid) - vals)) < 1e-12
+
+
+class TestOnGrid:
+    @pytest.mark.parametrize("m", [64, 65])
+    @pytest.mark.parametrize("degree", [1, 31, 32, 33, 66, 150])
+    def test_matches_direct_sum(self, m, degree):
+        # below m/2, at m/2 and above m: modes past m/2 alias onto the grid
+        rng = np.random.default_rng(degree * m)
+        poly = TrigPolynomial(float(rng.normal()), rng.normal(size=degree),
+                              rng.normal(size=degree))
+        grid = -math.pi + 2 * math.pi * np.arange(m) / m
+        scale = abs(poly.c0) + np.abs(poly.cos_coeffs).sum() + np.abs(poly.sin_coeffs).sum()
+        assert np.max(np.abs(poly.on_grid(m) - poly(grid))) < 1e-12 * scale
+
+    def test_constant(self):
+        poly = TrigPolynomial(2.5, np.zeros(0), np.zeros(0))
+        assert np.array_equal(poly.on_grid(8), np.full(8, 2.5))
 
 
 class TestSecondDerivativeBound:
@@ -125,9 +148,11 @@ class TestSecondDerivativeBound:
         assert np.max(poly.second_derivative(GRID)) <= bound * (1 + 1e-8) + 1e-12
 
 
-def _dec_with_upsilon(ups_func, eps):
-    """Decomposition object with a prescribed upsilon over a smooth -cos part."""
-    smooth = TrigPolynomial(0.0, np.array([-1.0]), np.array([0.0]))
+def _dec_with_upsilon(ups_func, eps, smooth=None):
+    """Decomposition object with a prescribed upsilon over a smooth part
+    (-cos unless given)."""
+    if smooth is None:
+        smooth = TrigPolynomial(0.0, np.array([-1.0]), np.array([0.0]))
 
     class FakePot:
         def __call__(self, phi):
@@ -135,7 +160,28 @@ def _dec_with_upsilon(ups_func, eps):
             return smooth(phi) - ups_func(phi)
 
     from spinlab.interaction import SingularDecomposition
-    return SingularDecomposition(smooth, FakePot(), eps, GRID)
+    return SingularDecomposition(smooth, FakePot(), eps)
+
+
+def broadcast_condition_51(dec):
+    """Reference ratio: every (phi_3, phi_4) block for one phi_2 as a
+    (P, P, m) array, each shifted by its own minimum, the smooth part summed
+    mode by mode."""
+    m, search_points = 2048, 32
+    grid = -math.pi + 2 * math.pi * np.arange(m) / m
+    u = dec.smooth(grid)
+    v = u - dec.original(grid)
+    shifts = np.arange(search_points) * (m // search_points)
+    u_roll = np.stack([np.roll(u, s) for s in shifts])
+    v_roll = np.stack([np.roll(v, s) for s in shifts])
+    worst = 1.0
+    for i2 in range(search_points):
+        su = u_roll[0] + u_roll[i2] + u_roll[:, None, :] + u_roll[None, :, :]
+        sv = v_roll[0] + v_roll[i2] + v_roll[:, None, :] + v_roll[None, :, :]
+        su -= su.min(axis=-1, keepdims=True)
+        ratio = np.exp(-su + sv).mean(axis=-1) / np.exp(-su).mean(axis=-1)
+        worst = max(worst, float(np.max(ratio)))
+    return worst
 
 
 class TestCondition51:
@@ -152,6 +198,26 @@ class TestCondition51:
         dec = decompose(absval(), eps=0.05)
         ratio = verify_condition_51(dec)
         assert 1.0 <= ratio <= math.exp(4 * 0.05) + 1e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda: decompose(absval(), eps=0.05),
+        lambda: decompose(absval(), eps=0.5),
+        lambda: _dec_with_upsilon(
+            lambda p: 0.1 * np.sin(p / 2) ** 2, eps=0.1,
+            smooth=TrigPolynomial(0.0, *np.random.default_rng(51)
+                                  .normal(scale=0.5, size=(2, 6)))),
+        lambda: decompose(xy(150.0), eps=0.1),
+    ], ids=["absval-0.05", "absval-0.5", "random", "xy150"])
+    def test_matches_broadcast_reference(self, make):
+        dec = make()
+        assert verify_condition_51(dec) == pytest.approx(
+            broadcast_condition_51(dec), rel=1e-12)
+
+    def test_underflow_raises(self):
+        # with the four boundary angles spread out, the untilted sum for
+        # xy(J) is about e^{-4J}, far below the smallest normal float
+        with pytest.raises(ValueError, match="quadrature failure"):
+            verify_condition_51(decompose(xy(400.0), eps=0.1))
 
     def test_rotation_invariance(self):
         # shifting all four boundary angles together must leave the single

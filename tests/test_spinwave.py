@@ -244,7 +244,6 @@ class TestDeform:
     def test_empty_bonds_identity(self, small_wave):
         dw = deform(small_wave, [])
         assert np.array_equal(dw.values, small_wave.values)
-        assert dw.witness == {}
         assert not dw.gated
 
     def test_single_bond_takes_minimum(self, small_wave):
@@ -253,7 +252,6 @@ class TestDeform:
         lo = min(small_wave.at(x), small_wave.at(y))
         assert dw.at(x) == lo
         assert dw.at(y) == lo
-        assert dw.witness[x] == dw.witness[y]
 
     def test_chain_takes_global_minimum(self, small_wave):
         chain = [((3, 0), (4, 0)), ((4, 0), (5, 0)), ((5, 0), (6, 0))]
@@ -261,13 +259,12 @@ class TestDeform:
         lo = small_wave.at((6, 0))
         for site in [(3, 0), (4, 0), (5, 0), (6, 0)]:
             assert dw.at(site) == lo
-            assert dw.witness[site] == (6, 0)
         assert dw.at((2, 0)) == small_wave.at((2, 0))
 
     def test_lexicographic_tie_break(self, small_wave):
         # (0,0) and (1,0) both sit in the inner box at the same value
         dw = deform(small_wave, [((0, 0), (1, 0))])
-        assert dw.witness[(1, 0)] == (0, 0)
+        assert dw.at((1, 0)) == dw.at((0, 0)) == small_wave.at((0, 0))
 
     def test_cluster_to_outside_zeroes(self, small_wave):
         m = small_wave.margin
@@ -305,7 +302,7 @@ class TestDeform:
 
 def bfs_deform(wave, bonds, v_sites, r_delta):
     """Reference deformation: clusters by breadth-first search over the
-    bonds, minima by a plain scan.  Returns (values, witness, r_a, gated)."""
+    bonds, minima by a plain scan.  Returns (values, r_a, gated)."""
     m = wave.margin
     adj = {}
     for x, y in bonds:
@@ -331,21 +328,18 @@ def bfs_deform(wave, bonds, v_sites, r_delta):
         if any(v in members for v in v_sites):
             r_a = max([r_a] + [sup_norm(s) for s in members])
     if r_delta is not None and r_a > r_delta:
-        return np.zeros_like(wave.values), {}, r_a, True
+        return np.zeros_like(wave.values), r_a, True
 
     def val(s):
         return wave.at(s) if sup_norm(s) <= m else 0.0
 
     values = wave.values.copy()
-    witness = {}
     for members in clusters:
         lo = min(val(s) for s in members)
-        best = min(s for s in members if val(s) == lo)
         for s in members:
             if sup_norm(s) <= m:
                 values[s[0] + m, s[1] + m] = lo
-                witness[s] = best
-    return values, witness, r_a, False
+    return values, r_a, False
 
 
 class TestClusterOracle:
@@ -365,11 +359,9 @@ class TestClusterOracle:
             v_sites = [tuple(int(c) for c in rng.integers(-3, 4, 2))
                        for _ in range(int(rng.integers(1, 4)))]
             r_delta = [None, 4, 9][int(rng.integers(3))]
-            values, witness, r_a, gate = bfs_deform(small_wave, bonds, v_sites,
-                                                    r_delta)
+            values, r_a, gate = bfs_deform(small_wave, bonds, v_sites, r_delta)
             dw = deform(small_wave, bonds, v_sites, r_delta)
             assert np.array_equal(dw.values, values)
-            assert dw.witness == witness
             assert dw.r_a == r_a == cluster_reach(bonds, v_sites)
             assert dw.gated == gate
             gated += gate
@@ -377,12 +369,11 @@ class TestClusterOracle:
 
     def test_tie_across_the_box_edge(self, small_wave):
         # (9, 0) is outside the box and (m + 1, 0) outside the grid: both 0,
-        # so the lexicographically smaller one is the witness
+        # and so is the cluster minimum that (8, 0) takes
         m = small_wave.margin
         dw = deform(small_wave, [((m + 1, 0), (9, 0)), ((9, 0), (8, 0))])
-        assert dw.witness[(9, 0)] == (9, 0)
-        assert dw.witness[(8, 0)] == (9, 0)
-        assert (m + 1, 0) not in dw.witness
+        assert small_wave.at((8, 0)) != 0.0
+        assert dw.at((9, 0)) == dw.at((8, 0)) == 0.0
 
 
 class TestBondSampler:
