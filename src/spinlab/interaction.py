@@ -39,7 +39,6 @@ class PairPotential:
 
     name: str
     func: Callable[[np.ndarray], np.ndarray]
-    second_derivative_bound: Optional[float] = None
     cutoff: Optional[float] = None
     fourier: Optional["TrigPolynomial"] = field(default=None, compare=False)
 
@@ -58,7 +57,6 @@ class PairPotential:
 def xy(J: float = 1.0) -> PairPotential:
     """XY interaction -J cos(phi); U'' = J cos <= J."""
     return PairPotential(f"xy({J})", lambda p: -J * np.cos(p),
-                         second_derivative_bound=abs(J),
                          fourier=TrigPolynomial(0.0, np.array([-float(J)]),
                                                 np.array([0.0])))
 
@@ -155,9 +153,7 @@ class TrigPolynomial:
         return out
 
     def as_potential(self, name: str = "trig") -> PairPotential:
-        return PairPotential(name, self.__call__,
-                             second_derivative_bound=second_derivative_bound(self),
-                             fourier=self)
+        return PairPotential(name, self.__call__, fourier=self)
 
 
 def second_derivative_bound(poly: TrigPolynomial) -> float:
@@ -175,7 +171,6 @@ class SingularDecomposition:
 
     smooth: TrigPolynomial
     original: PairPotential
-    epsilon: float
 
     def upsilon(self, phi):
         return self.smooth(wrap_angle(phi)) - self.original(phi)
@@ -240,7 +235,7 @@ def decompose(pot: PairPotential, eps: float,
         raise ValueError(
             f"upsilon spans [{lo:.4g}, {hi:.4g}] on a grid 16x finer, outside "
             f"[0, {eps:g}]; potential too rough for this eps")
-    return SingularDecomposition(smooth, pot, eps)
+    return SingularDecomposition(smooth, pot)
 
 
 def verify_condition_51(dec: SingularDecomposition) -> float:

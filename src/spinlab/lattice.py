@@ -93,10 +93,6 @@ class ShellRectangle:
         (x0, x1), (y0, y1) = self.x_range, self.y_range
         return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
 
-    def contains(self, x: Site) -> bool:
-        return (self.x_range[0] <= x[0] <= self.x_range[1]
-                and self.y_range[0] <= x[1] <= self.y_range[1])
-
     # d-sites (a, b) whose point (a+1/2, b+1/2) lies inside the rectangle hull
     @property
     def dsite_x_range(self) -> tuple[int, int]:
@@ -230,9 +226,6 @@ def dbonds_to_blocked(dbonds) -> set[Bond]:
 # marching-squares step rules for tracing the boundary of a site component
 # counterclockwise with the component kept on the left.  At corner (a, b) the
 # four surrounding cells are LL=(a,b), LR=(a+1,b), UL=(a,b+1), UR=(a+1,b+1).
-_DIRS = {(1, 0): "R", (-1, 0): "L", (0, 1): "U", (0, -1): "D"}
-
-
 def _valid_steps(corner: DSite, inside) -> list[tuple[int, int]]:
     a, b = corner
     ll, lr = inside((a, b)), inside((a + 1, b))

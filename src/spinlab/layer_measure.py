@@ -68,25 +68,10 @@ class OrbitConfiguration:
         return self.layers[k]
 
 
-@dataclass
-class LayerPotential:
-    """Interlayer potential W_k reduced to one variable, tabulated on a grid."""
-
-    k: int
-    values: np.ndarray  # W_k(t) at the grid angles, possibly +inf
-
-    @property
-    def grid_size(self) -> int:
-        return len(self.values)
-
-    @property
-    def feasible_fraction(self) -> float:
-        return float(np.mean(np.isfinite(self.values)))
-
-
 def layer_potential(k: int, orbit: OrbitConfiguration, pot: PairPotential,
-                    grid_size: int = DEFAULT_GRID) -> LayerPotential:
-    """Tabulate W_k(t), the energy of rotating layer k by t against layer k+1.
+                    grid_size: int = DEFAULT_GRID) -> np.ndarray:
+    """Tabulate W_k(t), the energy of rotating layer k by t against layer k+1,
+    at the angles of `circle_grid(grid_size)`; a hard core makes it +inf.
 
     Only the interlayer bonds contribute; intralayer bonds are constant along
     the orbit.  For k = n the outer layer is the boundary condition.
@@ -108,9 +93,8 @@ def layer_potential(k: int, orbit: OrbitConfiguration, pot: PairPotential,
             deltas.append(inner[inner_index[v]] - outer[outer_index[u]])
     deltas = np.asarray(deltas)
     t = circle_grid(grid_size)
-    vals = pot(t[None, :] + deltas[:, None]).sum(axis=0)
-    w = LayerPotential(k, vals)
-    if w.feasible_fraction == 0.0:
+    w = pot(t[None, :] + deltas[:, None]).sum(axis=0)
+    if not np.isfinite(w).any():
         raise ValueError(f"layer potential {k} is +inf everywhere: infeasible orbit")
     return w
 
@@ -138,35 +122,25 @@ class CircleDensity:
         return complex(self._coeffs[s % self.grid_size])
 
     @property
-    def max_value(self) -> float:
-        return float(np.max(self.values))
-
-    @property
     def sup_deviation(self) -> float:
         return float(np.max(np.abs(self.values - 1.0)))
-
-    def abs_fourier_sum(self) -> float:
-        """sum over s != 0 of |a_s|, an upper bound for sup|q - 1|."""
-        mags = np.abs(self._coeffs)
-        return float(np.sum(mags)) - float(mags[0])
 
     @classmethod
     def uniform(cls, m: int = DEFAULT_GRID) -> "CircleDensity":
         return cls(np.ones(m))
 
 
-def chi_density(w: LayerPotential) -> CircleDensity:
-    """Density of the layer increment: q proportional to e^{-W}.
+def chi_density(w: np.ndarray) -> CircleDensity:
+    """Density of the layer increment: q proportional to e^{-W}, from the
+    values of `layer_potential`.
 
     A hard-core potential makes part of the circle infeasible; the density is
-    then supported on the feasible arc (its measure is reported on the
-    LayerPotential).
+    then supported on the feasible arc.
     """
-    vals = w.values
-    finite = np.isfinite(vals)
+    finite = np.isfinite(w)
     if not finite.any():
         raise ValueError("W is +inf everywhere")
-    shifted = vals - np.min(vals[finite])  # underflow guard
+    shifted = w - np.min(w[finite])  # underflow guard
     q = np.where(finite, np.exp(-np.where(finite, shifted, 0.0)), 0.0)
     q /= np.mean(q)
     return CircleDensity(q)

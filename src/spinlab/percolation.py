@@ -53,7 +53,6 @@ def sample_bernoulli(eps: float, domain, seed: int) -> BondProcessSample:
 class CrossingSet:
     rect: ShellRectangle
     paths: list[DualPath]
-    alpha: float = None  # type: ignore[assignment]
 
     @property
     def count(self) -> int:

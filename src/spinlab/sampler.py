@@ -128,9 +128,10 @@ def accept_probability(delta_e) -> np.ndarray:
 
 class _Stencil:
     """Flat-index update phases (sites, neighbours, present) for one (n, bc)
-    pair: two interior checkerboard colors, and optionally the boundary ring."""
+    pair: two interior checkerboard colors and, for a smeared bc, the
+    boundary ring, with the staircase values there as `ring_centres`."""
 
-    def __init__(self, n: int, bc: BoundaryCondition, with_ring: bool):
+    def __init__(self, n: int, bc: BoundaryCondition):
         s = 2 * n + 3
         sup = sup_grid(n + 1)
         interior = sup <= n
@@ -140,12 +141,12 @@ class _Stencil:
         for color in (0, 1):
             mask = interior & ((xs + ys) % 2 == color)
             self.phases.append(self._phase(mask, interior, bc, s, xs, ys, flat))
-        if with_ring:
+        self.ring_phase = None
+        if bc.kind == "smeared":
             ring = sup == n + 1
             self.phases.append(self._phase(ring, interior, bc, s, xs, ys, flat))
             self.ring_phase = len(self.phases) - 1
-        else:
-            self.ring_phase = None
+            self.ring_centres = initial_configuration(bc, n, None).grid[ring]
         self.n_sites = sum(len(idx) for idx, _, _ in self.phases)
         # for the local-field sweep an absent neighbour points one past the
         # grid, where that sweep keeps zeros
@@ -172,19 +173,17 @@ class _Stencil:
 
 def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
                      bc: BoundaryCondition, width: float, rng,
-                     stencil: _Stencil = None, ring_arcs=None) -> int:
+                     stencil: _Stencil) -> int:
     """One full sweep of single-site proposals; returns accepted count.
 
-    A potential with a Fourier form and no hard core, swept without ring
-    arcs, goes through `_local_field_sweep`: the same random draws and, up
-    to roundoff in dE, the same moves, without calling the potential.
-    `ring_arcs`, when given, is (centers, halfwidth) for the boundary ring
-    phase: ring proposals outside their arc are rejected (uniform prior on
-    the arc, Gibbs weight from the interior bonds).
+    A potential with a Fourier form and no hard core, swept without a ring
+    phase, goes through `_local_field_sweep`: the same random draws and, up
+    to roundoff in dE, the same moves, without calling the potential.  In
+    the ring phase of a smeared bc, proposals farther than bc.delta from
+    their arc centre are rejected (uniform prior on the arc, Gibbs weight
+    from the interior bonds).
     """
-    if stencil is None:
-        stencil = _Stencil(cfg.n, bc, with_ring=ring_arcs is not None)
-    if pot.fourier is not None and pot.cutoff is None and ring_arcs is None:
+    if pot.fourier is not None and pot.cutoff is None and stencil.ring_phase is None:
         return _local_field_sweep(cfg, pot.fourier, width, rng, stencil)
     flat = cfg.grid.ravel()
     accepted = 0
@@ -197,9 +196,8 @@ def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
             e_new = np.where(present, pot(prop[None, :] - nbrv), 0.0).sum(axis=0)
             ok = np.log(rng.random(len(idx))) < -(e_new - e_old)
         ok &= np.isfinite(e_new)
-        if ring_arcs is not None and p == stencil.ring_phase:
-            centers, half = ring_arcs
-            ok &= circle_dist(prop - centers) <= half
+        if p == stencil.ring_phase:
+            ok &= circle_dist(prop - stencil.ring_centres) <= bc.delta
         flat[idx[ok]] = prop[ok]
         accepted += int(ok.sum())
     return accepted
@@ -272,10 +270,10 @@ def batch_means(trace):
     return float(x.mean()), float(err)
 
 
-def tune_width(cfg, pot, bc, rng, stencil, ring_arcs=None) -> float:
+def tune_width(cfg, pot, bc, rng, stencil) -> float:
     width = 0.5
     for _ in range(25):
-        acc = sum(metropolis_sweep(cfg, pot, bc, width, rng, stencil, ring_arcs)
+        acc = sum(metropolis_sweep(cfg, pot, bc, width, rng, stencil)
                   for _ in range(10))
         rate = acc / (10 * stencil.n_sites)
         if rate < 0.3:
@@ -289,7 +287,7 @@ def tune_width(cfg, pot, bc, rng, stencil, ring_arcs=None) -> float:
 
 def run_chain(pot: PairPotential, bc: BoundaryCondition, n: int, sweeps: int,
               seed: int, observables: dict = None, burn: int = None,
-              ring_arcs=None, init: SpinConfiguration = None,
+              init: SpinConfiguration = None,
               callback: Callable = None) -> ChainStats:
     """Sample the finite-volume state and record observable traces.
 
@@ -298,16 +296,16 @@ def run_chain(pot: PairPotential, bc: BoundaryCondition, n: int, sweeps: int,
     symmetry orbit.
     """
     rng = np.random.default_rng(seed)
-    stencil = _Stencil(n, bc, with_ring=ring_arcs is not None)
+    stencil = _Stencil(n, bc)
     cfg = initial_configuration(bc, n, rng) if init is None else init
-    width = tune_width(cfg, pot, bc, rng, stencil, ring_arcs)
+    width = tune_width(cfg, pot, bc, rng, stencil)
     if burn is None:
         burn = max(200, sweeps // 10)
     observables = observables or {}
     traces = {name: [] for name in observables}
     accepted = 0
     for t in range(-burn, sweeps):  # burn-in at t < 0
-        acc = metropolis_sweep(cfg, pot, bc, width, rng, stencil, ring_arcs)
+        acc = metropolis_sweep(cfg, pot, bc, width, rng, stencil)
         if bc.kind == "free":
             cfg.grid[1:-1, 1:-1] = wrap_angle(
                 cfg.grid[1:-1, 1:-1] + rng.uniform(-math.pi, math.pi))
@@ -342,22 +340,22 @@ class DiscrepancyReport:
 
 
 def rotation_discrepancy(pot, bc, f, psi: float, n: int, sweeps: int,
-                         seed: int, **kw) -> DiscrepancyReport:
+                         seed: int) -> DiscrepancyReport:
     """|<f(phi + psi)> - <f(phi)>| estimated from one chain by evaluating f
     on the rotated and unrotated configuration."""
     obs = {"diff": lambda cfg: f(cfg.rotated(psi)) - f(cfg)}
-    stats = run_chain(pot, bc, n, sweeps, seed, observables=obs, **kw)
+    stats = run_chain(pot, bc, n, sweeps, seed, observables=obs)
     mean, err = stats.errors["diff"]
     return DiscrepancyReport(n, psi, abs(mean), err, stats.width,
                              stats.acceptance_rate)
 
 
-def two_point(pot, bc, x, y, n: int, sweeps: int, seed: int, **kw):
+def two_point(pot, bc, x, y, n: int, sweeps: int, seed: int):
     """<cos(phi_x - phi_y)> with a batch-means error bar."""
     if max(sup_norm(x), sup_norm(y)) > n:
         raise ValueError(f"sites {x} and {y} must lie in the box of radius {n}")
     stats = run_chain(pot, bc, n, sweeps, seed,
-                      observables={"corr": correlation(x, y)}, **kw)
+                      observables={"corr": correlation(x, y)})
     return stats.errors["corr"]
 
 
@@ -491,8 +489,7 @@ def _certify(centres, delta: float, theta: float, n: int) -> FeasibilityCertific
                                   witness, lower, upper)
 
 
-def feasible_point(cert: FeasibilityCertificate, bc: BoundaryCondition,
-                   theta: float, n: int, rng):
+def feasible_point(cert: FeasibilityCertificate, theta: float, n: int, rng):
     """A random finite-energy configuration: site of G -> angle, or None if
     the certificate is infeasible.
 
@@ -530,7 +527,7 @@ class StateReport:
 
 
 def sample_state(pot: PairPotential, bc: BoundaryCondition, n: int,
-                 sweeps: int, seed: int, ring_arcs=None, init=None) -> StateReport:
+                 sweeps: int, seed: int, init=None) -> StateReport:
     """Run one chain and accumulate the per-site magnetization <e^{i phi}>."""
     acc = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
     violations = [0]
@@ -545,8 +542,8 @@ def sample_state(pot: PairPotential, bc: BoundaryCondition, n: int,
         "cos01": cos_at((0, 1)),
         "sin01": lambda cfg: math.sin(cfg.at((0, 1))),
     }
-    stats = run_chain(pot, bc, n, sweeps, seed, observables=obs,
-                      ring_arcs=ring_arcs, init=init, callback=collect)
+    stats = run_chain(pot, bc, n, sweeps, seed, observables=obs, init=init,
+                      callback=collect)
     return StateReport(stats, acc / sweeps, n, violations[0])
 
 
@@ -599,13 +596,7 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
         raise RuntimeError(
             "no finite-energy configuration for this staircase: the "
             "conditional measure is identically zero")
-    bc = smeared_bc(k, delta, sigma)
-    # arc parameters in stencil phase order (flat-index, i.e. lexicographic)
-    centers = np.array([staircase_angle(bc, p[1])
-                        for p in sorted(layer_sites(n + 1))])
-    init = initial_configuration(bc, n, np.random.default_rng(0))
-    report = sample_state(pot, bc, n, sweeps, seed,
-                          ring_arcs=(centers, delta), init=init)
+    report = sample_state(pot, smeared_bc(k, delta, sigma), n, sweeps, seed)
     gap, err = _covariance_check(report.stats, sigma, theta)
     return AizenmanReport(report, k, sigma, delta, gap, err)
 

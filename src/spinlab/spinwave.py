@@ -226,7 +226,6 @@ class EntropyEstimate:
     value: float
     term_cluster_x: float
     term_cluster_y: float
-    c1: float
 
 
 def entropy_bound(deformed: DeformedSpinWave, j_grid: np.ndarray,
@@ -243,7 +242,7 @@ def entropy_bound(deformed: DeformedSpinWave, j_grid: np.ndarray,
     j_mass = fftconvolve(np.ones_like(psi), j_grid, mode="same")
     term_x = 3 * c1 * float(np.sum((j_mass * disp2)[box]))
     term_y = 3 * c1 * float(np.sum(fftconvolve(disp2, j_grid, mode="same")[box]))
-    return EntropyEstimate(value, term_x, term_y, c1)
+    return EntropyEstimate(value, term_x, term_y)
 
 
 def sample_long_range_bonds(eps: float, j_grid: np.ndarray, margin: int,

@@ -216,9 +216,15 @@ potential = absval
 eps = 0.5
 grid = 1024
 """ % (tmp_path / "out"))
-        run(load_config(p))
+        # at eps = 0.5 the ratio passes 2: the dominating Bernoulli density
+        # ratio - 1 is at least 1, so the predicate refuses it
+        with pytest.warns(UserWarning, match="vacuous"):
+            run(load_config(p))
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["metrics"]["ratio"] >= 1.0
+        assert summary["metrics"]["ratio"] >= 2.0
+        verdicts = verify(str(tmp_path / "out" / "manifest.json"))
+        assert [v["status"] for v in verdicts
+                if v["criterion"] == "predicate:decompose51"] == ["fail"]
 
     def test_twopoint_short_window_reports_unusable(self, tmp_path):
         p = write_config(tmp_path / "c.ini", """

@@ -1,8 +1,9 @@
 """Dead-code guard: no module-level import that a package or test module
 never uses, no local name that a function there assigns and never reads
-(local names starting with an underscore are exempt), and no public
-module-level function or class of the package without a caller outside the
-module tests."""
+(local names starting with an underscore are exempt), no parameter of a
+public function or method of the package that its body never reads, and no
+public module-level function or class of the package without a caller
+outside the module tests."""
 
 import ast
 import importlib.util
@@ -75,6 +76,25 @@ def unread_locals(tree) -> list:
     return out
 
 
+def unread_parameters(tree) -> list:
+    """Parameters of public functions and methods that their body never
+    reads, as "function: name"; self, cls and names starting with an
+    underscore are exempt."""
+    out = []
+    for func in ast.walk(tree):
+        if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or func.name.startswith("_")):
+            continue
+        a = func.args
+        params = [p for p in (*a.posonlyargs, *a.args, a.vararg,
+                              *a.kwonlyargs, a.kwarg) if p is not None]
+        read = set().union(*map(_loaded, func.body))
+        out += [f"{func.name}: {p.arg}" for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")]
+    return out
+
+
 def references(tree, strings=False) -> Counter:
     """How often the tree loads each name, reads it as an attribute or
     imports it; with `strings`, also its string constants, since the
@@ -118,6 +138,11 @@ def test_no_local_assigned_and_never_read(path):
     assert unread_locals(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(ast.parse(path.read_text())) == []
+
+
 def test_guard_catches_dead_code():
     tree = ast.parse(
         "import os\n"
@@ -128,6 +153,23 @@ def test_guard_catches_dead_code():
         "    return a + pi\n")
     assert unused_imports(tree) == ["os", "tau"]
     assert unread_locals(tree) == ["f: b", "f: unused"]
+
+
+def test_parameter_guard_catches_dead_code():
+    tree = ast.parse(
+        "def f(a, b, *args, c=1, _d=2, **kw):\n"
+        "    def inner(x):\n"
+        "        return a + kw['y']\n"
+        "    return inner\n"
+        "def _private(unused): pass\n"
+        "class C:\n"
+        "    def m(self, used, default=None):\n"
+        "        return used\n"
+        "    @classmethod\n"
+        "    def k(cls, z):\n"
+        "        return lambda: z\n")
+    assert unread_parameters(tree) == [
+        "f: b", "f: args", "f: c", "inner: x", "m: default"]
 
 
 def test_every_public_name_has_a_caller():

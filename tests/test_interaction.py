@@ -148,7 +148,7 @@ class TestSecondDerivativeBound:
         assert np.max(poly.second_derivative(GRID)) <= bound * (1 + 1e-8) + 1e-12
 
 
-def _dec_with_upsilon(ups_func, eps, smooth=None):
+def _dec_with_upsilon(ups_func, smooth=None):
     """Decomposition object with a prescribed upsilon over a smooth part
     (-cos unless given)."""
     if smooth is None:
@@ -160,7 +160,7 @@ def _dec_with_upsilon(ups_func, eps, smooth=None):
             return smooth(phi) - ups_func(phi)
 
     from spinlab.interaction import SingularDecomposition
-    return SingularDecomposition(smooth, FakePot(), eps)
+    return SingularDecomposition(smooth, FakePot())
 
 
 def broadcast_condition_51(dec):
@@ -186,12 +186,12 @@ def broadcast_condition_51(dec):
 
 class TestCondition51:
     def test_zero_upsilon_gives_ratio_one(self):
-        dec = _dec_with_upsilon(lambda p: np.zeros_like(p), eps=0.01)
+        dec = _dec_with_upsilon(lambda p: np.zeros_like(p))
         assert verify_condition_51(dec) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_upsilon(self):
         c = 0.03
-        dec = _dec_with_upsilon(lambda p: np.full_like(p, c), eps=c)
+        dec = _dec_with_upsilon(lambda p: np.full_like(p, c))
         assert verify_condition_51(dec) == pytest.approx(math.exp(4 * c), rel=1e-10)
 
     def test_absval_decomposition_ratio(self):
@@ -203,7 +203,7 @@ class TestCondition51:
         lambda: decompose(absval(), eps=0.05),
         lambda: decompose(absval(), eps=0.5),
         lambda: _dec_with_upsilon(
-            lambda p: 0.1 * np.sin(p / 2) ** 2, eps=0.1,
+            lambda p: 0.1 * np.sin(p / 2) ** 2,
             smooth=TrigPolynomial(0.0, *np.random.default_rng(51)
                                   .normal(scale=0.5, size=(2, 6)))),
         lambda: decompose(xy(150.0), eps=0.1),

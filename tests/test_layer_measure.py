@@ -29,20 +29,20 @@ class TestLayerPotential:
         orbit = OrbitConfiguration.constant(2)
         w = layer_potential(0, orbit, xy(0.5), grid_size=256)
         t = circle_grid(256)
-        assert np.allclose(w.values, -2.0 * np.cos(t))
+        assert np.allclose(w, -2.0 * np.cos(t))
 
     def test_bond_count_scaling(self):
         orbit = OrbitConfiguration.constant(3, value=0.2)
         for k in range(4):
             w = layer_potential(k, orbit, xy(1.0), grid_size=64)
             # constant orbit: W(t) = -(8k+4) cos(t)
-            assert w.values[0] == pytest.approx(-(8 * k + 4))
+            assert w[0] == pytest.approx(-(8 * k + 4))
 
     def test_outermost_layer_uses_boundary(self):
         orbit = OrbitConfiguration.constant(1)
         orbit.boundary[:] = math.pi  # antialigned boundary flips the sign
         w = layer_potential(1, orbit, xy(1.0), grid_size=64)
-        assert w.values[0] == pytest.approx(12.0)
+        assert w[0] == pytest.approx(12.0)
 
     def test_rejects_bad_layer(self):
         orbit = OrbitConfiguration.constant(1)
@@ -52,9 +52,10 @@ class TestLayerPotential:
     def test_hard_core_feasible_fraction(self):
         orbit = OrbitConfiguration.constant(1)
         w = layer_potential(0, orbit, aizenman(0.5), grid_size=1024)
-        assert 0 < w.feasible_fraction < 1
+        feasible_fraction = np.mean(np.isfinite(w))
+        assert 0 < feasible_fraction < 1
         # feasible arc is |t| <= 0.5, about 1/(2pi) of the circle
-        assert w.feasible_fraction == pytest.approx(1.0 / (2 * math.pi), abs=0.01)
+        assert feasible_fraction == pytest.approx(1.0 / (2 * math.pi), abs=0.01)
 
     def test_incompatible_hard_core_orbit_raises(self):
         # two neighbours of the origin pinned at 0 and two at pi: no rotation
@@ -93,13 +94,6 @@ class TestCircleDensity:
         assert q.fourier(-3) == pytest.approx(0.25)
         assert abs(q.fourier(2)) < 1e-12
 
-    def test_abs_fourier_sum_dominates_sup_deviation(self):
-        rng = np.random.default_rng(0)
-        t = circle_grid(512)
-        vals = 1.0 + 0.3 * np.cos(t + rng.normal()) + 0.2 * np.cos(5 * t)
-        q = CircleDensity(vals)
-        assert q.sup_deviation <= q.abs_fourier_sum() + 1e-10
-
 
 class TestChiDensity:
     def test_bessel_oracle(self):
@@ -127,7 +121,7 @@ class TestChiDensity:
         orbit = OrbitConfiguration.constant(1)
         w = layer_potential(0, orbit, aizenman(0.5), grid_size=2048)
         q = chi_density(w)
-        assert np.all(q.values[~np.isfinite(w.values)] == 0.0)
+        assert np.all(q.values[~np.isfinite(w)] == 0.0)
         assert np.mean(q.values) == pytest.approx(1.0)
 
 
@@ -179,7 +173,7 @@ class TestSupDensityBound:
         orbit = OrbitConfiguration.random(4, rng)
         for k in range(5):
             q = chi_density(layer_potential(k, orbit, pot))
-            assert q.max_value <= sup_density_bound(k, 1.0) + 1e-9
+            assert q.values.max() <= sup_density_bound(k, 1.0) + 1e-9
 
     def test_c1_is_k0_cap_and_ratio_decreases(self):
         c = 1.0
@@ -307,7 +301,7 @@ class TestIndependenceFactorization:
         marginals = []
         for k in range(3):
             w = layer_potential(k, orbit, pot, grid_size=m)
-            q = np.exp(-(w.values - w.values.min()))
+            q = np.exp(-(w - w.min()))
             marginals.append(q / q.sum())
         product = np.einsum("i,j,k->ijk", *marginals)
         assert np.allclose(joint_chi, product, atol=1e-12)

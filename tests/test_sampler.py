@@ -9,7 +9,7 @@ from scipy.special import i0, i1
 from spinlab import sampler
 from spinlab.interaction import (TrigPolynomial, absval, aizenman, circle_dist,
                                  decompose, wrap_angle, xy)
-from spinlab.lattice import layer_sites
+from spinlab.lattice import layer_sites, sup_grid
 from spinlab.sampler import (
     SpinConfiguration,
     aizenman_state,
@@ -324,7 +324,7 @@ class TestFeasibility:
         for site, angle in cert.witness.items():
             want = float(staircase_angle(bc, site[1]))
             assert abs(math.remainder(angle - want, 2 * math.pi)) < 1e-9
-        point = feasible_point(cert, bc, THETA12, 6, np.random.default_rng(1))
+        point = feasible_point(cert, THETA12, 6, np.random.default_rng(1))
         assert point.keys() == cert.witness.keys()
         for site, angle in point.items():
             assert abs(math.remainder(angle - cert.witness[site], 2 * math.pi)) < 1e-9
@@ -334,8 +334,7 @@ class TestFeasibility:
         # which lie at graph distance 4, so it has no finite-energy filling
         cert = feasibility(staircase_bc(12, 2), THETA12, 4)
         assert cert.verdict == "infeasible"
-        assert feasible_point(cert, staircase_bc(12, 2), THETA12, 4,
-                              np.random.default_rng(0)) is None
+        assert feasible_point(cert, THETA12, 4, np.random.default_rng(0)) is None
 
     @pytest.mark.parametrize("bc, n", [
         (fixed_bc(1.0), 2), (staircase_bc(12, 0), 4), (staircase_bc(12, 1), 6),
@@ -346,7 +345,7 @@ class TestFeasibility:
         assert_finite_energy(cert.witness, bc, n)
         rng = np.random.default_rng(2)
         for _ in range(3):
-            assert_finite_energy(feasible_point(cert, bc, THETA12, n, rng), bc, n)
+            assert_finite_energy(feasible_point(cert, THETA12, n, rng), bc, n)
 
     def test_smeared_search_finds_valid_point(self):
         bc = smeared_bc(12, delta=0.05, sigma=1)
@@ -355,7 +354,7 @@ class TestFeasibility:
         assert_finite_energy(cert.witness, bc, 3)
         rng = np.random.default_rng(2)
         for _ in range(3):
-            assert_finite_energy(feasible_point(cert, bc, THETA12, 3, rng), bc, 3)
+            assert_finite_energy(feasible_point(cert, THETA12, 3, rng), bc, 3)
 
     def test_smearing_widens_the_arcs(self):
         # at n = 0 the sigma = 2 ring values 2 theta and -2 theta sit at
@@ -412,6 +411,29 @@ class TestAizenmanState:
         rep = sample_state(pot, free_bc(), 8, 4000, seed=7, init=init)
         assert rep.origin_modulus() < 0.1
         assert rep.violations == 0
+
+    def test_smeared_chain_samples_its_ring(self):
+        # the smeared bc alone makes the chain sample its ring: the sites
+        # with an interior neighbour leave the staircase, and no ring site
+        # leaves its arc of half-width delta
+        n, delta = 3, 0.2
+        bc = smeared_bc(12, delta, 1)
+        ring = sup_grid(n + 1) == n + 1
+        stair = initial_configuration(bc, n, None).grid
+        ax = np.abs(np.arange(-n - 1, n + 2))
+        corner = np.equal.outer(ax, ax)
+        moved = np.zeros(ring.shape, dtype=bool)
+        worst = []
+
+        def record(cfg):
+            off = circle_dist(cfg.grid - stair)
+            moved[off > 1e-9] = True
+            worst.append(off[ring].max())
+
+        run_chain(aizenman(THETA12), bc, n, 200, seed=6, callback=record)
+        assert len(worst) == 200
+        assert max(worst) <= delta + 1e-12
+        assert np.all(moved[ring & ~corner])
 
     def test_infeasible_staircase_aborts(self):
         with pytest.raises(RuntimeError):
