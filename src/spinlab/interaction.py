@@ -1,8 +1,8 @@
 """Pair potentials on the circle and the smooth/singular decomposition.
 
-Angles live on [-pi, pi); all differences go through :func:`circle_dist`
-before a potential sees them.  A potential may be hard-core: energy +inf
-beyond an angular cutoff.
+Angles live on [-pi, pi); a potential wraps each difference once, with
+:func:`wrap_angle`, before its formula sees it.  A potential may be
+hard-core: energy +inf beyond an angular cutoff.
 """
 
 from __future__ import annotations
@@ -30,11 +30,13 @@ def circle_dist(phi):
 class PairPotential:
     """Symmetric pair potential U(phi) = U(-phi) on the circle.
 
-    `func` must accept numpy arrays of wrapped angles.  `cutoff` marks a
-    hard core: the value is +inf exactly for circle distance > cutoff.
-    `fourier`, when given, is the same function as a trigonometric
-    polynomial; the Metropolis sweep then computes energy differences from
-    per-mode local fields instead of calling `func`.
+    `func` receives numpy arrays of angles that `__call__` has already
+    wrapped, and must not wrap them again: |phi| is the circle distance.
+    `cutoff` marks a hard core: the value is +inf exactly for circle
+    distance > cutoff.  `fourier`, when given, is the same function as a
+    trigonometric polynomial inside the cutoff (a hard core may carry one);
+    the Metropolis sweep then computes energy differences from per-mode
+    local fields instead of calling `func`, and tests the cutoff apart.
     """
 
     name: str
@@ -46,7 +48,7 @@ class PairPotential:
         phi = wrap_angle(phi)
         vals = np.asarray(self.func(phi), dtype=float)
         if self.cutoff is not None:
-            vals = np.where(circle_dist(phi) > self.cutoff, np.inf, vals)
+            vals = np.where(np.abs(phi) > self.cutoff, np.inf, vals)
         return vals
 
     @property
@@ -65,7 +67,9 @@ def aizenman(theta: float) -> PairPotential:
     """-cos(phi) inside the angular cutoff theta, +inf beyond it."""
     if not 0 < theta < math.pi:
         raise ValueError("cutoff must lie in (0, pi)")
-    return PairPotential(f"aizenman({theta})", lambda p: -np.cos(p), cutoff=theta)
+    return PairPotential(f"aizenman({theta})", lambda p: -np.cos(p), cutoff=theta,
+                         fourier=TrigPolynomial(0.0, np.array([-1.0]),
+                                                np.array([0.0])))
 
 
 def logsing(floor: float = -30.0) -> PairPotential:
@@ -84,16 +88,15 @@ def logsing(floor: float = -30.0) -> PairPotential:
     """
 
     def f(p):
-        d = circle_dist(p)
         with np.errstate(divide="ignore"):
-            return np.maximum(np.log(d), floor)
+            return np.maximum(np.log(np.abs(p)), floor)
 
     return PairPotential(f"logsing({floor})", f)
 
 
 def absval() -> PairPotential:
     """Circle distance |phi|."""
-    return PairPotential("absval", circle_dist)
+    return PairPotential("absval", np.abs)
 
 
 _PRESETS = {"xy": xy, "aizenman": aizenman, "logsing": logsing, "absval": absval}

@@ -4,14 +4,18 @@ symmetry-breaking experiments.
 
 Single-site proposals (wrapped Gaussian plus occasional uniform refresh) on a
 checkerboard; hard-core potentials are handled by rejecting any proposal of
-infinite energy.  The smeared staircase state treats the boundary ring as
-arc-constrained sampling sites, which integrates the boundary smearing and
-the interior Gibbs weight jointly; boundary draws whose conditional measure
-would vanish are then never visited rather than rejected wholesale.
+infinite energy.  Every potential with a Fourier form, hard core and ring
+arcs included, is swept from per-mode local fields; only potentials without
+one (`absval`, `logsing`) call the potential on each neighbour difference.
+The smeared staircase state treats the boundary ring as arc-constrained
+sampling sites, which integrates the boundary smearing and the interior
+Gibbs weight jointly; boundary draws whose conditional measure would vanish
+are then never visited rather than rejected wholesale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -81,9 +85,27 @@ class SpinConfiguration:
         return self.grid[1:-1, 1:-1]
 
     def rotated(self, psi: float) -> "SpinConfiguration":
-        g = self.grid.copy()
-        g[1:-1, 1:-1] = wrap_angle(g[1:-1, 1:-1] + psi)
-        return SpinConfiguration(self.n, g)
+        """This configuration with its box turned by psi, as a view: read it
+        before this one changes."""
+        return _Rotated(self, psi)
+
+
+class _Rotated(SpinConfiguration):
+    """`base` with its box turned by psi, built only as far as it is read:
+    `at` turns the one site it reads, `grid` the whole box on first use."""
+
+    def __init__(self, base: SpinConfiguration, psi: float):
+        self.n, self._base, self._psi = base.n, base, psi
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        g = self._base.grid.copy()
+        g[1:-1, 1:-1] = wrap_angle(g[1:-1, 1:-1] + self._psi)
+        return g
+
+    def at(self, site) -> float:
+        v = self._base.grid[site[0] + self.offset, site[1] + self.offset]
+        return float(wrap_angle(v + self._psi) if sup_norm(site) <= self.n else v)
 
 
 def initial_configuration(bc: BoundaryCondition, n: int, rng) -> SpinConfiguration:
@@ -105,14 +127,28 @@ def hardcore_violations(cfg: SpinConfiguration, pot: PairPotential,
     both endpoints interior) whose angle difference exceeds the cutoff."""
     if not pot.is_hard_core:
         return 0
-    interior = sup_grid(cfg.n + 1) <= cfg.n
-    bad = 0
+    i, j = _counted_bonds(cfg.n, bc.kind == "free")
+    flat = cfg.grid.ravel()
+    return int(np.count_nonzero(circle_dist(flat[i] - flat[j]) > pot.cutoff + 1e-12))
+
+
+@functools.cache
+def _counted_bonds(n: int, free: bool):
+    """Flat-index ends (i, j), i the larger, of the bonds that
+    `hardcore_violations` counts on the extended grid of a box of radius n."""
+    s = 2 * n + 3
+    interior = sup_grid(n + 1) <= n
+    flat = np.arange(s * s).reshape(s, s)
+    ends = []
     for axis in (0, 1):
-        a = np.moveaxis(cfg.grid, axis, 0)
         ia = np.moveaxis(interior, axis, 0)
-        w = ia[1:] & ia[:-1] if bc.kind == "free" else ia[1:] | ia[:-1]
-        bad += int(np.sum(w & (circle_dist(a[1:] - a[:-1]) > pot.cutoff + 1e-12)))
-    return bad
+        fa = np.moveaxis(flat, axis, 0)
+        w = ia[1:] & ia[:-1] if free else ia[1:] | ia[:-1]
+        ends.append((fa[1:][w], fa[:-1][w]))
+    i, j = (np.concatenate(e) for e in zip(*ends))
+    i.setflags(write=False)  # shared by every caller through the cache
+    j.setflags(write=False)
+    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +212,18 @@ def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
                      stencil: _Stencil) -> int:
     """One full sweep of single-site proposals; returns accepted count.
 
-    A potential with a Fourier form and no hard core, swept without a ring
-    phase, goes through `_local_field_sweep`: the same random draws and, up
-    to roundoff in dE, the same moves, without calling the potential.  In
-    the ring phase of a smeared bc, proposals farther than bc.delta from
-    their arc centre are rejected (uniform prior on the arc, Gibbs weight
-    from the interior bonds).
+    A proposal of infinite energy is rejected; from a site of infinite
+    energy, any finite proposal is accepted.  In the ring phase of a smeared
+    bc, proposals farther than bc.delta from their arc centre are rejected
+    (uniform prior on the arc, Gibbs weight from the interior bonds).
+
+    Every potential with a Fourier form, hard core included, goes through
+    `_local_field_sweep`: the same random draws and, up to roundoff in dE,
+    the same moves, without calling the potential.  The others call it on
+    the neighbour differences of the current and the proposed angle.
     """
-    if pot.fourier is not None and pot.cutoff is None and stencil.ring_phase is None:
-        return _local_field_sweep(cfg, pot.fourier, width, rng, stencil)
+    if pot.fourier is not None:
+        return _local_field_sweep(cfg, pot, bc, width, rng, stencil)
     flat = cfg.grid.ravel()
     accepted = 0
     for p, (idx, nbr, present) in enumerate(stencil.phases):
@@ -215,27 +254,43 @@ def _propose(cur, width, rng) -> np.ndarray:
     return prop
 
 
-def _local_field_sweep(cfg, poly, width, rng, stencil) -> int:
-    """`metropolis_sweep` for U(phi) = c0 + sum_s a_s cos(s phi) + b_s sin(s phi).
+def _local_field_sweep(cfg, pot, bc, width, rng, stencil) -> int:
+    """`metropolis_sweep` for U(phi) = c0 + sum_s a_s cos(s phi) + b_s sin(s phi)
+    (`pot.fourier`) inside the cutoff of `pot`, if it has one.
 
     With the field Z_s = sum_j w_j e^{i s phi_j} of the neighbours,
     sum_j w_j U(x - phi_j) = c0 sum_j w_j + sum_s Re((a_s - i b_s) e^{isx} Z_s^*),
     so dE needs e^{isx} only at the current and the proposed angle.  The
     modes e^{is phi} of the grid are computed once per sweep and updated
     where moves are accepted, so each phase sees the moves of the ones before.
+    A hard core is tested on the neighbour differences of the proposed and
+    the current angle with the arithmetic of `PairPotential.__call__`, so
+    it rejects and, from an infinite-energy site, accepts what the generic
+    sweep does.
     """
+    poly = pot.fourier
     modes = 1j * np.arange(1, poly.degree + 1)[:, None]
     coef = (poly.cos_coeffs - 1j * poly.sin_coeffs)[:, None]
     flat = cfg.grid.ravel()
     e = np.zeros((poly.degree, flat.size + 1), dtype=complex)  # last: absent
     e[:, :-1] = np.exp(modes * flat)
     accepted = 0
-    for (idx, _, _), nbr in zip(stencil.phases, stencil.field_nbrs):
-        prop = _propose(flat.take(idx), width, rng)
+    for p, ((idx, nbr, present), field_nbr) in enumerate(
+            zip(stencil.phases, stencil.field_nbrs)):
+        cur = flat.take(idx)
+        prop = _propose(cur, width, rng)
         e_prop = np.exp(modes * prop)
-        field = coef * e.take(nbr, axis=1).sum(axis=1).conj()
+        field = coef * e.take(field_nbr, axis=1).sum(axis=1).conj()
         de = ((e_prop - e.take(idx, axis=1)) * field).real.sum(axis=0)
-        ok = np.flatnonzero(np.log(rng.random(len(idx))) < -de)
+        ok = np.log(rng.random(len(idx))) < -de
+        if pot.cutoff is not None:
+            # rows: the proposal, then the current angle, breaks a present bond
+            broken = ((circle_dist(np.stack([prop, cur])[:, None, :] - flat.take(nbr))
+                       > pot.cutoff) & present).any(axis=1)
+            ok = (ok | broken[1]) & ~broken[0]
+        if p == stencil.ring_phase:
+            ok &= circle_dist(prop - stencil.ring_centres) <= bc.delta
+        ok = np.flatnonzero(ok)
         moved = idx.take(ok)
         flat[moved] = prop.take(ok)
         e[:, moved] = e_prop.take(ok, axis=1)
@@ -342,7 +397,8 @@ class DiscrepancyReport:
 def rotation_discrepancy(pot, bc, f, psi: float, n: int, sweeps: int,
                          seed: int) -> DiscrepancyReport:
     """|<f(phi + psi)> - <f(phi)>| estimated from one chain by evaluating f
-    on the rotated and unrotated configuration."""
+    on the rotated and unrotated configuration (the rotated one is a view,
+    so an f that reads one site turns only that site)."""
     obs = {"diff": lambda cfg: f(cfg.rotated(psi)) - f(cfg)}
     stats = run_chain(pot, bc, n, sweeps, seed, observables=obs)
     mean, err = stats.errors["diff"]

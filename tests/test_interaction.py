@@ -9,6 +9,7 @@ from spinlab.interaction import (
     _truncated_fourier,
     absval,
     aizenman,
+    circle_dist,
     decompose,
     domination_epsilon,
     logsing,
@@ -20,6 +21,7 @@ from spinlab.interaction import (
 )
 
 GRID = -math.pi + 2 * math.pi * np.arange(4096) / 4096
+BELOW_MINUS_PI = np.nextafter(-math.pi, -np.inf)
 
 
 class TestPotentials:
@@ -48,6 +50,55 @@ class TestPotentials:
         vals = wrap_angle(np.linspace(-20, 20, 1001))
         assert np.all(vals >= -math.pi)
         assert np.all(vals < math.pi)
+
+    @staticmethod
+    def _angles():
+        """Signed zeros, subnormals, +-pi, +-pi/2 and their float neighbours,
+        and random values at magnitudes 1e-300 to 1e6."""
+        special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+        for a in (math.pi, math.pi / 2):
+            special += [a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)]
+        special = np.array(special)
+        rng = np.random.default_rng(0)
+        mags = 10.0 ** np.arange(-300, 7, 17)
+        rand = (rng.uniform(-1.0, 1.0, (len(mags), 2000)) * mags[:, None]).ravel()
+        return np.concatenate([special, -special, rand])
+
+    @staticmethod
+    def _bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    def test_wrap_angle_is_idempotent(self):
+        x = self._angles()
+        x = x[x != BELOW_MINUS_PI]  # see the next test
+        w = wrap_angle(x)
+        assert np.array_equal(self._bits(wrap_angle(w)), self._bits(w))
+
+    def test_wrap_angle_just_below_minus_pi(self):
+        # the one exception: x + pi is minus half an ulp of 2 pi, so np.mod
+        # rounds up to 2 pi and the wrap lands on +pi, which wraps again to
+        # -pi.  |phi| is the same, so no potential tells them apart.
+        assert wrap_angle(BELOW_MINUS_PI) == math.pi
+        assert wrap_angle(wrap_angle(BELOW_MINUS_PI)) == -math.pi
+
+    @pytest.mark.parametrize("make", [absval, logsing, lambda: aizenman(0.5)],
+                             ids=["absval", "logsing", "aizenman"])
+    def test_one_wrap_matches_two(self, make):
+        # the formulas before each potential stopped wrapping its own
+        # (already wrapped) argument, by circle_dist
+        cutoff = 0.5
+        twice = {
+            "absval": lambda p: circle_dist(p),
+            "logsing": lambda p: np.maximum(np.log(circle_dist(p)), -30.0),
+            "aizenman": lambda p: np.where(circle_dist(p) > cutoff, np.inf,
+                                           -np.cos(p)),
+        }
+        pot = make()
+        x = self._angles()
+        with np.errstate(divide="ignore"):
+            expected = twice[pot.name.split("(")[0]](wrap_angle(x))
+            got = pot(x)
+        assert np.array_equal(self._bits(got), self._bits(expected))
 
     def test_preset_parsing(self):
         assert potential_preset("xy(0.5)")(0.0) == pytest.approx(-0.5)

@@ -84,6 +84,44 @@ class TestSweep:
                           observables={"c": cos_at((0, 0))})
         assert 0.2 < stats.acceptance_rate < 0.8
 
+    def test_rotated_view_reads_as_the_rotated_copy(self):
+        # the view turns only the site `at` reads; it must give the bits of
+        # the full copy, which its `grid` builds on first use
+        cfg = initial_configuration(free_bc(), 3, np.random.default_rng(4))
+        cfg.grid[:] = np.random.default_rng(5).uniform(-40.0, 40.0, cfg.grid.shape)
+        psi = 2.0
+        copy = cfg.grid.copy()
+        copy[1:-1, 1:-1] = wrap_angle(copy[1:-1, 1:-1] + psi)
+        rot = cfg.rotated(psi)
+        ax = range(-4, 5)  # the box and its ring
+        got = [rot.at((x, y)) for x in ax for y in ax]
+        want = [float(copy[x + 4, y + 4]) for x in ax for y in ax]
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(want).view(np.uint64))
+        assert np.array_equal(rot.grid, copy) and rot.n == cfg.n
+        assert np.array_equal(rot.interior(), copy[1:-1, 1:-1])
+
+    @pytest.mark.parametrize("n", [0, 2, 5])
+    def test_hardcore_violations_match_masked_count(self, n):
+        # the count the function made before it kept its bond list: every
+        # bond of the extended grid with an interior end (free bc: both
+        # ends), tested on the whole grid and masked
+        pot = aizenman(1.0)
+        interior = sup_grid(n + 1) <= n
+        counts = []
+        for seed in range(3):
+            cfg = initial_configuration(free_bc(), n, np.random.default_rng(seed))
+            for bc in (fixed_bc(0.0), free_bc()):
+                want = 0
+                for axis in (0, 1):
+                    a = np.moveaxis(cfg.grid, axis, 0)
+                    ia = np.moveaxis(interior, axis, 0)
+                    w = ia[1:] & ia[:-1] if bc.kind == "free" else ia[1:] | ia[:-1]
+                    want += int(np.sum(w & (circle_dist(a[1:] - a[:-1]) > 1.0 + 1e-12)))
+                assert hardcore_violations(cfg, pot, bc) == want
+                counts.append(want)
+        assert max(counts) > 0
+
     def test_hardcore_violation_counter(self):
         grid = np.zeros((9, 9))
         grid[4, 4] = math.pi  # one site far out of line with its 4 neighbors
@@ -108,7 +146,7 @@ class TestLocalFieldSweep:
                                  np.array([0.5, -0.2])).as_potential("tilted")]
 
     @staticmethod
-    def _chain(pot, bc, monkeypatch):
+    def _chain(pot, bc, monkeypatch, init=None):
         counts = []
         sweep = sampler.metropolis_sweep
 
@@ -117,7 +155,8 @@ class TestLocalFieldSweep:
             return counts[-1]
 
         monkeypatch.setattr(sampler, "metropolis_sweep", counted)
-        stats = run_chain(pot, bc, 6, 300, seed=8, burn=0)
+        start = None if init is None else SpinConfiguration(init.n, init.grid.copy())
+        stats = run_chain(pot, bc, 6, 300, seed=8, burn=0, init=start)
         monkeypatch.undo()
         return counts, stats.final.grid
 
@@ -137,6 +176,43 @@ class TestLocalFieldSweep:
         assert len(counts) > 300
         assert counts == generic_counts
         np.testing.assert_allclose(grid, generic_grid, rtol=0, atol=1e-12)
+
+    # hard core: the fixed grid and the sigma = 1 staircases have finite
+    # energy; a uniform interior and the sigma = 2 staircase break the
+    # cutoff, so the first sweeps accept any finite proposal there; the
+    # smeared bcs add the ring phase with its arc test.  At cutoff 2 pi/12 a
+    # move from an infinite-energy site into the cutoff lowers the -cos
+    # energy almost always, so only the wide cutoff 2.5 shows a sweep that
+    # takes dE in place of that acceptance.
+    HARD_CORE_CASES = {
+        "fixed": (THETA12, fixed_bc(0.3), None),
+        "free-from-fixed": (THETA12, free_bc(), "fixed"),
+        "free-from-uniform": (THETA12, free_bc(), None),
+        "staircase": (THETA12, staircase_bc(16, 1), None),  # (12, 1) is rigid
+        "smeared-0.05-1": (THETA12, smeared_bc(12, 0.05, 1), None),
+        "smeared-0.8-2": (THETA12, smeared_bc(12, 0.8, 2), None),
+        "smeared-0.8-2-from-uniform": (THETA12, smeared_bc(12, 0.8, 2), "uniform"),
+        "wide-free-from-uniform": (2.5, free_bc(), None),
+        "wide-fixed-from-uniform": (2.5, fixed_bc(0.3), "uniform"),
+    }
+
+    @pytest.mark.parametrize("case", list(HARD_CORE_CASES))
+    def test_hard_core_same_moves_as_generic_path(self, case, monkeypatch):
+        theta, bc, start = self.HARD_CORE_CASES[case]
+        pot = aizenman(theta)
+        init = None
+        if start == "fixed":
+            init = initial_configuration(fixed_bc(0.0), 6, None)
+        elif start == "uniform":
+            init = initial_configuration(bc, 6, None)
+            init.interior()[:] = np.random.default_rng(3).uniform(
+                -math.pi, math.pi, (13, 13))
+        counts, grid = self._chain(pot, bc, monkeypatch, init)
+        generic = dataclasses.replace(pot, fourier=None)
+        generic_counts, generic_grid = self._chain(generic, bc, monkeypatch, init)
+        assert len(counts) > 300 and sum(counts) > 0
+        assert counts == generic_counts
+        assert np.array_equal(grid, generic_grid)
 
 
 class TestOneSpinBox:
@@ -158,7 +234,7 @@ class TestOneSpinBox:
     ], ids=["absval-fixed", "aizenman-fixed", "absval-staircase1",
             "xy-staircase2"])
     def test_against_quadrature(self, pot, bc):
-        # generic path, generic path with its hard-core rejection, generic
+        # generic path, local-field path with its hard-core masks, generic
         # path with neighbours at 0, 0 and +-theta, local-field path
         nbrs = [float(staircase_angle(bc, x2)) for x2 in (0, 0, 1, -1)] \
             if bc.kind == "staircase" else [bc.value] * 4
