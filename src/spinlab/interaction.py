@@ -17,7 +17,12 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(phi):
-    """Canonical representative in [-pi, pi)."""
+    """Canonical representative in [-pi, pi), with one exception.
+
+    For phi = nextafter(-pi, -inf), phi + pi is about -4.4e-16 and np.mod
+    rounds its sum with 2 pi up to 2 pi, so the result is +pi; wrapping
+    that again gives -pi.  |phi| is pi either way.
+    """
     return np.mod(np.asarray(phi) + math.pi, TWO_PI) - math.pi
 
 

@@ -12,6 +12,7 @@ the uniform density is 1 and a_0 = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import lattice
-from .interaction import PairPotential
+from .interaction import PairPotential, TrigPolynomial, wrap_angle
 
 DEFAULT_GRID = 4096
 
@@ -68,32 +69,52 @@ class OrbitConfiguration:
         return self.layers[k]
 
 
+@functools.cache
+def _bond_ends(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the layer-k and layer-(k+1) ends of each interlayer bond,
+    in `lattice.interlayer_bonds(k)` order (read-only, shared by callers)."""
+    inner_index = {s: i for i, s in enumerate(lattice.layer_sites(k))}
+    outer_index = {s: i for i, s in enumerate(lattice.layer_sites(k + 1))}
+    # canonical bonds may list either endpoint first
+    ends = [(u, v) if u in inner_index else (v, u)
+            for u, v in lattice.interlayer_bonds(k)]
+    inner = np.array([inner_index[u] for u, _ in ends])
+    outer = np.array([outer_index[v] for _, v in ends])
+    inner.flags.writeable = outer.flags.writeable = False
+    return inner, outer
+
+
 def layer_potential(k: int, orbit: OrbitConfiguration, pot: PairPotential,
                     grid_size: int = DEFAULT_GRID) -> np.ndarray:
     """Tabulate W_k(t), the energy of rotating layer k by t against layer k+1,
     at the angles of `circle_grid(grid_size)`; a hard core makes it +inf.
 
     Only the interlayer bonds contribute; intralayer bonds are constant along
-    the orbit.  For k = n the outer layer is the boundary condition.
+    the orbit.  For k = n the outer layer is the boundary condition.  With
+    bond differences delta_b, W_k(t) = sum_b U(t + delta_b).  A potential
+    with a Fourier form c0 + Re sum_s (a_s - i b_s) e^{is phi} gives
+    W_k(t) = |B| c0 + Re sum_s (a_s - i b_s) Z_s e^{ist}, Z_s = sum_b
+    e^{is delta_b}, a polynomial of the same degree evaluated by one inverse
+    FFT; its cutoff puts +inf where some bond leaves the hard core.  Any
+    other potential is called on the (bonds x grid) array of angles.
     """
     if not 0 <= k <= orbit.n:
         raise ValueError(f"layer index {k} outside 0..{orbit.n}")
-    inner_sites = lattice.layer_sites(k)
-    outer_sites = lattice.layer_sites(k + 1)
-    inner_index = {s: i for i, s in enumerate(inner_sites)}
-    outer_index = {s: i for i, s in enumerate(outer_sites)}
-    inner = orbit.angles_at(k)
-    outer = orbit.angles_at(k + 1)
-    deltas = []
-    for u, v in lattice.interlayer_bonds(k):
-        # canonical bonds may list either endpoint first
-        if u in inner_index:
-            deltas.append(inner[inner_index[u]] - outer[outer_index[v]])
-        else:
-            deltas.append(inner[inner_index[v]] - outer[outer_index[u]])
-    deltas = np.asarray(deltas)
+    inner, outer = _bond_ends(k)
+    deltas = orbit.angles_at(k)[inner] - orbit.angles_at(k + 1)[outer]
     t = circle_grid(grid_size)
-    w = pot(t[None, :] + deltas[:, None]).sum(axis=0)
+    poly = pot.fourier
+    if poly is None:
+        w = pot(t[None, :] + deltas[:, None]).sum(axis=0)
+    else:
+        s = np.arange(1, poly.degree + 1)
+        z = np.exp(1j * np.outer(s, deltas)).sum(axis=1)
+        # circle_grid starts at 0 and on_grid at -pi: turn mode s by (-1)^s
+        c = (poly.cos_coeffs - 1j * poly.sin_coeffs) * z * np.where(s % 2, -1.0, 1.0)
+        w = TrigPolynomial(len(deltas) * poly.c0, c.real, -c.imag).on_grid(grid_size)
+        if pot.cutoff is not None:
+            outside = np.abs(wrap_angle(t[None, :] + deltas[:, None])) > pot.cutoff
+            w[outside.any(axis=0)] = np.inf
     if not np.isfinite(w).any():
         raise ValueError(f"layer potential {k} is +inf everywhere: infeasible orbit")
     return w

@@ -644,15 +644,24 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
     uniformly from their arcs, infeasible draws carrying zero measure) it
     reweights feasible draws by their conditional partition function, which
     moves nothing outside the delta-tube around the staircase.
+
+    The chain starts from the staircase itself when that breaks no bond of
+    the hard core, and otherwise from the witness of the smeared state's
+    certificate; RuntimeError when that certificate says infeasible.
     """
     theta = TWO_PI / k
     pot = aizenman(theta)
-    cert = feasibility(staircase_bc(k, sigma), theta, n)
-    if cert.verdict == "infeasible":
-        raise RuntimeError(
-            "no finite-energy configuration for this staircase: the "
-            "conditional measure is identically zero")
-    report = sample_state(pot, smeared_bc(k, delta, sigma), n, sweeps, seed)
+    bc = smeared_bc(k, delta, sigma)
+    init = initial_configuration(bc, n, None)
+    if hardcore_violations(init, pot, bc):
+        cert = feasibility(bc, theta, n)
+        if cert.verdict == "infeasible":
+            raise RuntimeError(
+                "no finite-energy configuration for this smeared staircase: "
+                "the conditional measure is identically zero")
+        for (x1, x2), angle in cert.witness.items():
+            init.grid[x1 + n + 1, x2 + n + 1] = angle
+    report = sample_state(pot, bc, n, sweeps, seed, init=init)
     gap, err = _covariance_check(report.stats, sigma, theta)
     return AizenmanReport(report, k, sigma, delta, gap, err)
 

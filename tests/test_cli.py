@@ -322,6 +322,24 @@ sweeps = 100
 """ % (tmp_path / "out"))
         assert main(["run", "--config", p]) == 1
 
+    def test_smeared_staircase_feasible_where_exact_is_not(self, tmp_path):
+        # only the smeared state of this config has finite energy
+        p = write_config(tmp_path / "c.ini", """
+[experiment]
+name = aizenman
+out = %s
+
+[aizenman]
+k = 16
+delta = 0.8
+sigma = 2
+n = 1
+sweeps = 64
+""" % (tmp_path / "out"))
+        assert main(["run", "--config", p]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["metrics"]["violations"] == 0
+
     def test_logsing_decomposition_refused(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.ini", """
 [experiment]

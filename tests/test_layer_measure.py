@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import iv
 
 from spinlab import lattice
-from spinlab.interaction import absval, aizenman, xy
+from spinlab.interaction import absval, aizenman, decompose, xy
 from spinlab.layer_measure import (
     CircleDensity,
     OrbitConfiguration,
@@ -68,6 +68,78 @@ class TestLayerPotential:
         orbit.layers[1][sites.index((0, -1))] = math.pi
         with pytest.raises(ValueError):
             layer_potential(0, orbit, aizenman(0.3), grid_size=512)
+
+
+def _dict_deltas(k, orbit):
+    """Bond differences by dict lookups over `layer_sites`, in
+    `interlayer_bonds` order: the reference for the cached index arrays."""
+    inner_index = {s: i for i, s in enumerate(lattice.layer_sites(k))}
+    outer_index = {s: i for i, s in enumerate(lattice.layer_sites(k + 1))}
+    inner, outer = orbit.angles_at(k), orbit.angles_at(k + 1)
+    deltas = []
+    for u, v in lattice.interlayer_bonds(k):
+        if u in inner_index:
+            deltas.append(inner[inner_index[u]] - outer[outer_index[v]])
+        else:
+            deltas.append(inner[inner_index[v]] - outer[outer_index[u]])
+    return np.asarray(deltas)
+
+
+def _tabulated(k, orbit, pot, m):
+    """W_k by calling the potential on the (bonds x grid) array of angles."""
+    t = circle_grid(m)
+    return pot(t[None, :] + _dict_deltas(k, orbit)[:, None]).sum(axis=0)
+
+
+def _tolerance(k, pot):
+    poly = pot.fourier
+    size = abs(poly.c0) + np.abs(poly.cos_coeffs).sum() + np.abs(poly.sin_coeffs).sum()
+    return 1e-12 * (len(lattice.interlayer_bonds(k)) * size + 1.0)
+
+
+GRIDS = [16, 63, 1024]
+
+
+class TestFourierPath:
+    """A potential with a Fourier form gets W_k from its modes; the
+    tabulation is the reference."""
+
+    @pytest.mark.parametrize("m", GRIDS)
+    @pytest.mark.parametrize("make", [
+        lambda: xy(0.25), lambda: xy(1.0), lambda: xy(7.5),
+        lambda: decompose(absval(), 0.25).smooth.as_potential(),  # degree 8
+    ], ids=["xy0.25", "xy1", "xy7.5", "absval-smooth-part"])
+    def test_matches_tabulation(self, make, m):
+        pot = make()
+        orbit = OrbitConfiguration.random(4, np.random.default_rng(21))
+        for k in range(5):
+            w = layer_potential(k, orbit, pot, grid_size=m)
+            assert np.max(np.abs(w - _tabulated(k, orbit, pot, m))) <= _tolerance(k, pot)
+
+    @pytest.mark.parametrize("m", GRIDS)
+    def test_hard_core_mask_is_identical(self, m):
+        # a nearly aligned orbit is feasible for the cutoff 0.5 at every layer
+        rng = np.random.default_rng(23)
+        orbit = OrbitConfiguration.constant(3)
+        for cfg in orbit.layers + [orbit.boundary]:
+            cfg += rng.uniform(-0.1, 0.1, size=len(cfg))
+        pot = aizenman(0.5)
+        for k in range(4):
+            w = layer_potential(k, orbit, pot, grid_size=m)
+            ref = _tabulated(k, orbit, pot, m)
+            finite = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(w), finite)
+            assert np.all(w[~finite] == np.inf)
+            assert np.max(np.abs(w[finite] - ref[finite])) <= _tolerance(k, pot)
+
+    @pytest.mark.parametrize("m", GRIDS)
+    def test_absval_tabulation_is_bitwise(self, m):
+        # no Fourier form: the cached bond indices give the dict lookups'
+        # differences, summed in the same order
+        orbit = OrbitConfiguration.random(4, np.random.default_rng(24))
+        for k in range(5):
+            w = layer_potential(k, orbit, absval(), grid_size=m)
+            assert np.array_equal(w, _tabulated(k, orbit, absval(), m))
 
 
 class TestCircleDensity:

@@ -511,6 +511,16 @@ class TestAizenmanState:
         assert max(worst) <= delta + 1e-12
         assert np.all(moved[ring & ~corner])
 
+    def test_smeared_state_feasible_where_staircase_is_not(self):
+        # the exact staircase of (16, sigma 2) breaks the hard core at n = 1,
+        # but arcs of half-width 0.8 admit finite-energy configurations: the
+        # chain starts from the smeared certificate's witness
+        theta = 2 * math.pi / 16
+        assert feasibility(staircase_bc(16, 2), theta, 1).verdict == "infeasible"
+        assert feasibility(smeared_bc(16, 0.8, 2), theta, 1).verdict != "infeasible"
+        rep = aizenman_state(16, 0.8, 2, 1, 64, seed=0)
+        assert rep.state.violations == 0
+
     def test_infeasible_staircase_aborts(self):
         with pytest.raises(RuntimeError):
             aizenman_state(12, 0.05, 2, 4, 100, seed=0)
