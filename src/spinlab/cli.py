@@ -546,7 +546,8 @@ EXPERIMENTS = {
     "twopoint": Experiment({
         "potential": (str, "xy(0.5)", _potential_ok, _NOT_PRESET),
         "n": (int, 12, lambda x: x >= 2, "must be >= 2"),
-        "distances": (_int_list, [1, 2, 4, 8], None, ""),
+        "distances": (_int_list, [1, 2, 4, 8], lambda xs: all(x >= 1 for x in xs),
+                      "entries must be >= 1"),
         "sweeps": (int, 4000, lambda x: x >= 64, "must be >= 64"),
     }, _run_twopoint, _check_twopoint),
     "aizenman": Experiment({

@@ -112,7 +112,9 @@ def potential_preset(spec: str) -> PairPotential:
     spec = spec.strip()
     if "(" in spec:
         name, rest = spec.split("(", 1)
-        args = [float(a) for a in rest.rstrip(")").split(",") if a.strip()]
+        if not rest.endswith(")"):
+            raise ValueError(f"unclosed potential preset {spec!r}")
+        args = [float(a) for a in rest[:-1].split(",") if a.strip()]
     else:
         name, args = spec, []
     if name not in _PRESETS:
@@ -151,17 +153,6 @@ class TrigPolynomial:
         np.add.at(spec, s % m, (self.cos_coeffs - 1j * self.sin_coeffs)
                   * np.where(s % 2, -1.0, 1.0))
         return self.c0 + m * np.fft.ifft(spec).real
-
-    def second_derivative(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros(phi.shape)
-        for s in range(1, self.degree + 1):
-            out -= s * s * (self.cos_coeffs[s - 1] * np.cos(s * phi)
-                            + self.sin_coeffs[s - 1] * np.sin(s * phi))
-        return out
-
-    def as_potential(self, name: str = "trig") -> PairPotential:
-        return PairPotential(name, self.__call__, fourier=self)
 
 
 def second_derivative_bound(poly: TrigPolynomial) -> float:
@@ -290,7 +281,8 @@ def domination_epsilon(ratio: float) -> float:
 
 @dataclass
 class DiscretizedToySystem:
-    """Spins taking q equally spaced angles on a (2n+1)^2 box, n <= 1.
+    """Spins taking q equally spaced angles on a (2n+1)^2 box, n <= 1, with
+    the boundary fixed at angle 0.
 
     Partition functions with per-bond tilting factors are computed exactly by
     a row transfer matrix, which is what makes conditional open probabilities
@@ -301,7 +293,6 @@ class DiscretizedToySystem:
     states: int
     smooth: Callable[[np.ndarray], np.ndarray]
     upsilon: Callable[[np.ndarray], np.ndarray]
-    boundary_angle: float = 0.0
 
     def __post_init__(self):
         if self.n > 1:
@@ -335,7 +326,6 @@ class DiscretizedToySystem:
         tilted = set(tilted_bonds)
         plain, tilt = self._weight_vectors()
         q, side, n = self.states, self.side, self.n
-        bnd = int(round(self.boundary_angle / TWO_PI * q)) % q
         xs = list(range(-n, n + 1))
         ys = list(range(-n, n + 1))
         rows = self._rows  # (R, side) state tuples
@@ -348,8 +338,8 @@ class DiscretizedToySystem:
             for i in range(side - 1):
                 out *= wv((xs[i], y), (xs[i + 1], y))[(rows[:, i] - rows[:, i + 1]) % q]
             # bonds to the fixed boundary columns x = +-(n+1)
-            out *= wv((-n - 1, y), (xs[0], y))[(bnd - rows[:, 0]) % q]
-            out *= wv((xs[-1], y), (n + 1, y))[(rows[:, -1] - bnd) % q]
+            out *= wv((-n - 1, y), (xs[0], y))[-rows[:, 0] % q]
+            out *= wv((xs[-1], y), (n + 1, y))[rows[:, -1]]
             return out
 
         def vert_trans(y):
@@ -360,16 +350,16 @@ class DiscretizedToySystem:
                 out *= wv((xs[i], y), (xs[i], y + 1))[d]
             return out
 
-        # boundary rows y = +-(n+1) are fixed at the boundary state
+        # boundary rows y = +-(n+1) are fixed at state 0
         bottom = np.ones(len(rows))
         for i in range(side):
-            bottom *= wv((xs[i], ys[0] - 1), (xs[i], ys[0]))[(bnd - rows[:, i]) % q]
+            bottom *= wv((xs[i], ys[0] - 1), (xs[i], ys[0]))[-rows[:, i] % q]
         vec = bottom * row_weight(ys[0])
         for j in range(1, len(ys)):
             vec = vec @ vert_trans(ys[j] - 1) * row_weight(ys[j])
         top = np.ones(len(rows))
         for i in range(side):
-            top *= wv((xs[i], ys[-1]), (xs[i], ys[-1] + 1))[(rows[:, i] - bnd) % q]
+            top *= wv((xs[i], ys[-1]), (xs[i], ys[-1] + 1))[rows[:, i]]
         return float(vec @ top)
 
     def conditional_open_probability(self, bond, conditioning) -> float:

@@ -88,11 +88,6 @@ class ShellRectangle:
     x_range: tuple[int, int]  # inclusive
     y_range: tuple[int, int]  # inclusive
 
-    @property
-    def sites(self) -> list[Site]:
-        (x0, x1), (y0, y1) = self.x_range, self.y_range
-        return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
-
     # d-sites (a, b) whose point (a+1/2, b+1/2) lies inside the rectangle hull
     @property
     def dsite_x_range(self) -> tuple[int, int]:
@@ -162,8 +157,7 @@ class DualPath:
     """An ordered d-path given by its d-site sequence.
 
     Consecutive d-sites are adjacent; the d-bonds are pairwise distinct.  A
-    loop repeats the first d-site at the end; a circuit is a loop that
-    surrounds the origin.
+    loop repeats the first d-site at the end.
     """
 
     dsites: list[DSite]
@@ -212,10 +206,6 @@ class DualPath:
                 elif b0 == 0 and b1 == -1:
                     w -= 1
         return w
-
-    @property
-    def is_circuit(self) -> bool:
-        return self.is_loop and self.winding_number() != 0
 
 
 def dbonds_to_blocked(dbonds) -> set[Bond]:

@@ -243,14 +243,6 @@ class WalkKernel:
                 g[x[0] + radius, x[1] + radius] = v
         return g
 
-    def second_moment(self) -> float:
-        if self.kernel.explicit is not None:
-            return sum(v * (x ** 2 + y ** 2) for (x, y), v in self.kernel.explicit.items())
-        r = np.arange(len(self.kernel.rings)).astype(float)
-        # sum of |x|^2 over the sup-norm ring of radius r is (32r^3 + 4r)/3
-        per_ring = (32 * r ** 3 + 4 * r) / 3.0
-        return float(np.sum(self.kernel.rings * per_ring))
-
 
 class YWalkKernel(WalkKernel):
     """The connectivity walk: transitions proportional to d_eps.
@@ -288,7 +280,6 @@ class ConnectivityBound:
     eps: float
     radius: int
     grid: np.ndarray  # d_eps values, index [x+radius, y+radius]
-    n_terms: int
 
     @property
     def c_bound(self) -> float:
@@ -297,15 +288,6 @@ class ConnectivityBound:
     @property
     def total(self) -> float:
         return float(self.grid.sum())
-
-    @property
-    def truncation_error(self) -> float:
-        return self.eps ** (self.n_terms + 1) / (1.0 - self.eps)
-
-    def at(self, x) -> float:
-        if sup_norm(x) > self.radius:
-            return 0.0
-        return float(self.grid[x[0] + self.radius, x[1] + self.radius])
 
 
 def connectivity_bound(walk: WalkKernel, eps: float, n_terms: int = None,
@@ -330,7 +312,7 @@ def connectivity_bound(walk: WalkKernel, eps: float, n_terms: int = None,
         power = np.clip(power, 0.0, None)
         scale *= eps
         acc += scale * power
-    return ConnectivityBound(eps, radius, acc, n_terms)
+    return ConnectivityBound(eps, radius, acc)
 
 
 def y_kernel(walk: WalkKernel, eps: float) -> YWalkKernel:
@@ -355,7 +337,6 @@ def y_kernel(walk: WalkKernel, eps: float) -> YWalkKernel:
 
 @dataclass
 class RecurrenceReport:
-    name: str
     rhos: list
     values: list
     verdict: str
@@ -446,7 +427,7 @@ def recurrence_classify(walk: WalkKernel, ladder=None) -> RecurrenceReport:
     try:
         values = truncated_integrals(walk, ladder)
     except ArithmeticError as exc:
-        return RecurrenceReport(walk.name, ladder, [], "inconclusive",
+        return RecurrenceReport(ladder, [], "inconclusive",
                                 {"error": str(exc)}, periodic=True)
     rel_inc = (values[-1] - values[-2]) / values[-1]
     u = np.log(1.0 / np.asarray(ladder))
@@ -468,4 +449,4 @@ def recurrence_classify(walk: WalkKernel, ladder=None) -> RecurrenceReport:
             fit["superlogarithmic"] = True
         else:
             verdict = "inconclusive"
-    return RecurrenceReport(walk.name, ladder, values, verdict, fit)
+    return RecurrenceReport(ladder, values, verdict, fit)

@@ -22,14 +22,16 @@ from .lattice import Bond, DualPath, ShellRectangle
 
 
 def box_bonds(n: int) -> list[Bond]:
-    """Nearest-neighbour bonds with both endpoints in the box of radius n."""
+    """Nearest-neighbour bonds with both endpoints in the box of radius n, in
+    sorted order: sites lexicographically, the bond up before the bond to the
+    right."""
     bonds = []
     for x in range(-n, n + 1):
         for y in range(-n, n + 1):
-            if x < n:
-                bonds.append((((x, y)), ((x + 1, y))))
             if y < n:
-                bonds.append((((x, y)), ((x, y + 1))))
+                bonds.append(((x, y), (x, y + 1)))
+            if x < n:
+                bonds.append(((x, y), (x + 1, y)))
     return bonds
 
 
@@ -39,14 +41,16 @@ class BondProcessSample:
 
 
 def sample_bernoulli(eps: float, domain, seed: int) -> BondProcessSample:
-    """Independent bond process: each bond of the domain open with density eps."""
+    """Independent bond process: each bond of the domain open with density eps.
+
+    The seed's stream gives one uniform per bond in the order of `domain`, a
+    sequence, and bond i is open when the i-th is below eps.  The sample of a
+    seed thus depends on that order; `box_bonds` lists its bonds sorted.
+    """
     if not 0 <= eps < 1:
         raise ValueError("density must be in [0, 1)")
-    domain = sorted(domain)
-    rng = np.random.default_rng(seed)
-    u = rng.random(len(domain))
-    open_bonds = {b for b, v in zip(domain, u) if v < eps}
-    return BondProcessSample(open_bonds)
+    u = np.random.default_rng(seed).random(len(domain))
+    return BondProcessSample({domain[i] for i in np.flatnonzero(u < eps)})
 
 
 @dataclass
@@ -165,8 +169,6 @@ def _validate_crossings(cs: CrossingSet, a_bonds):
 
 @dataclass
 class ShortCrossingEvent:
-    k: int
-    alpha: float
     crossings: dict  # orientation -> CrossingSet
     short_counts: dict
     threshold: float
@@ -191,7 +193,7 @@ def short_crossing_event(a_bonds, k: int, alpha: float) -> ShortCrossingEvent:
     rects = lattice.shell_rectangles(k)
     crossings = {o: disjoint_good_crossings(r, a_bonds) for o, r in rects.items()}
     shorts = {o: len(c.short_paths(alpha)) for o, c in crossings.items()}
-    return ShortCrossingEvent(k, alpha, crossings, shorts, alpha * 2 ** (k - 2))
+    return ShortCrossingEvent(crossings, shorts, alpha * 2 ** (k - 2))
 
 
 @dataclass
@@ -199,7 +201,6 @@ class SparsenessCertificate:
     circuits: list  # (scale, DualPath) pairs, innermost first
     value: float
     threshold: float
-    scales: list
 
     @property
     def verdict(self) -> bool:
@@ -227,12 +228,10 @@ def sparseness_certificate(a_bonds, n: int, rho: float, alpha: float,
     circuits = []
     used_sites = set()
     value = 0.0
-    scales = []
     for k in range(k_lo, k_hi + 1):
         event = short_crossing_event(a_bonds, k, alpha)
         if not event.holds:
             continue
-        scales.append(k)
         # innermost crossings first so nested quadruples stay disjoint
         def inner_key(p):
             return (min(map(lattice.sup_norm, p.dsites)), p.dsites)
@@ -252,7 +251,7 @@ def sparseness_certificate(a_bonds, n: int, rho: float, alpha: float,
             value += 1.0 / len(circ)
         if early_stop and value >= threshold:
             break
-    return SparsenessCertificate(circuits, value, threshold, scales)
+    return SparsenessCertificate(circuits, value, threshold)
 
 
 def wilson_interval(failures: int, samples: int):
@@ -269,10 +268,6 @@ def wilson_interval(failures: int, samples: int):
 
 @dataclass
 class FailureEstimate:
-    n: int
-    eps: float
-    alpha: float
-    rho: float
     samples: int
     failures: int
     interval: tuple
@@ -295,5 +290,4 @@ def estimate_sparseness_failure(eps: float, n: int, samples: int, alpha: float,
         cert = sparseness_certificate(a, n, rho, alpha, early_stop=True)
         if not cert.verdict:
             failures += 1
-    return FailureEstimate(n, eps, alpha, rho, samples, failures,
-                           wilson_interval(failures, samples))
+    return FailureEstimate(samples, failures, wilson_interval(failures, samples))

@@ -304,13 +304,10 @@ def _local_field_sweep(cfg, pot, bc, width, rng, stencil) -> int:
 
 @dataclass
 class ChainStats:
-    sweeps: int
     acceptance_rate: float
     traces: dict
     errors: dict  # name -> (mean, error bar)
-    seed: int
     width: float
-    final: SpinConfiguration
 
 
 def batch_means(trace):
@@ -372,8 +369,7 @@ def run_chain(pot: PairPotential, bc: BoundaryCondition, n: int, sweeps: int,
                 callback(cfg)
     traces = {k: np.asarray(v) for k, v in traces.items()}
     errors = {k: batch_means(v) for k, v in traces.items()}
-    return ChainStats(sweeps, accepted / (sweeps * stencil.n_sites), traces,
-                      errors, seed, width, cfg)
+    return ChainStats(accepted / (sweeps * stencil.n_sites), traces, errors, width)
 
 
 def cos_at(site):
@@ -387,7 +383,6 @@ def correlation(x, y):
 @dataclass
 class DiscrepancyReport:
     n: int
-    psi: float
     discrepancy: float
     error: float
     width: float  # tuned proposal width of the chain
@@ -402,8 +397,7 @@ def rotation_discrepancy(pot, bc, f, psi: float, n: int, sweeps: int,
     obs = {"diff": lambda cfg: f(cfg.rotated(psi)) - f(cfg)}
     stats = run_chain(pot, bc, n, sweeps, seed, observables=obs)
     mean, err = stats.errors["diff"]
-    return DiscrepancyReport(n, psi, abs(mean), err, stats.width,
-                             stats.acceptance_rate)
+    return DiscrepancyReport(n, abs(mean), err, stats.width, stats.acceptance_rate)
 
 
 def two_point(pot, bc, x, y, n: int, sweeps: int, seed: int):
@@ -606,9 +600,6 @@ def sample_state(pot: PairPotential, bc: BoundaryCondition, n: int,
 @dataclass
 class AizenmanReport:
     state: StateReport
-    k: int
-    sigma: int
-    delta: float
     covariance_gap: float
     covariance_error: float
 
@@ -663,7 +654,7 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
             init.grid[x1 + n + 1, x2 + n + 1] = angle
     report = sample_state(pot, bc, n, sweeps, seed, init=init)
     gap, err = _covariance_check(report.stats, sigma, theta)
-    return AizenmanReport(report, k, sigma, delta, gap, err)
+    return AizenmanReport(report, gap, err)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ def conductance_grid(walk: WalkKernel, eps: float, radius: int = None) -> np.nda
 @dataclass
 class SpinWaveField:
     n: int
-    inner: int  # radius R of the inner box held at psi
-    psi: float
     values: np.ndarray  # full grid, side 2*margin+1, zero outside the box
     margin: int
     cgrid: np.ndarray
@@ -121,7 +119,7 @@ def solve_spinwave(walk: WalkKernel, n: int, inner: int, psi: float,
     res = float(np.max(np.abs(conv - c_tot * values).ravel()[idx]))
     if info != 0 or res > tol * c_tot:
         raise RuntimeError(f"solver did not converge: residual {res:.3e}")
-    return SpinWaveField(n, inner, psi, values, margin, cgrid, res, iterations)
+    return SpinWaveField(n, values, margin, cgrid, res, iterations)
 
 
 def _quadratic_form(v: np.ndarray, c: np.ndarray, box: np.ndarray) -> float:
@@ -165,11 +163,7 @@ def compute_R_delta(v_sites, delta: float, eps: float, walk: WalkKernel,
 class DeformedSpinWave:
     base: SpinWaveField
     values: np.ndarray
-    r_a: int  # cluster reach of the gate set V
     gated: bool  # True when r_A(V) > R(delta) forced the wave to zero
-
-    def at(self, x) -> float:
-        return float(self.values[x[0] + self.base.margin, x[1] + self.base.margin])
 
 
 def _clusters(bonds, v_sites):
@@ -207,7 +201,7 @@ def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
     m = wave.margin
     sites, labels, r_a = _clusters(bonds, v_sites)
     if r_delta is not None and r_a > r_delta:
-        return DeformedSpinWave(wave, np.zeros_like(wave.values), r_a, True)
+        return DeformedSpinWave(wave, np.zeros_like(wave.values), True)
     inside = np.abs(sites).max(axis=1) <= m
     x, y = sites[inside].T + m
     vals = np.zeros(len(sites))
@@ -218,7 +212,7 @@ def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
     best = order[np.diff(labels[order], prepend=-1) != 0][labels]
     values = wave.values.copy()
     values[x, y] = vals[best[inside]]
-    return DeformedSpinWave(wave, values, r_a, False)
+    return DeformedSpinWave(wave, values, False)
 
 
 @dataclass
@@ -276,8 +270,6 @@ def sample_long_range_bonds(eps: float, j_grid: np.ndarray, margin: int,
 
 @dataclass
 class EntropyReport:
-    n: int
-    eps: float
     samples: int
     mean: float
     ci: tuple
@@ -318,6 +310,6 @@ def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
     # cluster comparison: Q(x <-> y) <= d_eps(x - y), hence the cluster terms
     # are bounded by 6 c1 times the d_eps quadratic form of the smooth wave
     comparison = 6.0 * c1 * dirichlet_energy(wave)
-    return EntropyReport(n, eps, samples, mean, (mean - half, mean + half),
+    return EntropyReport(samples, mean, (mean - half, mean + half),
                          gated / samples, float(np.mean(cluster_vals)),
                          comparison)

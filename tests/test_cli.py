@@ -288,6 +288,8 @@ radius = 128
         ("rotation", "potential", "bogus(1)"),
         ("decompose51", "potential", "aizenman(7)"),
         ("twopoint", "potential", "xy(1, 2)"),
+        ("rotation", "potential", "xy(1.0"),
+        ("decompose51", "potential", "aizenman(0.5"),
         ("recurrence", "kernel", "powerlaw(x)"),
         ("entropy", "kernel", "logcorr(1)"),
     ])
@@ -368,6 +370,16 @@ sweeps = 64
         assert main(["run", "--config", p]) == 1
         err = capsys.readouterr().err
         assert "sites (0, 0) and (0, 4) must lie in the box of radius 3" in err
+
+    @pytest.mark.parametrize("distances", ["0,1,2,4,8", "-1,2"])
+    def test_twopoint_nonpositive_distance_is_config_error(self, tmp_path, capsys,
+                                                           distances):
+        # log(0) in the power-law fit would leave an SVD failure in the summary
+        p = write_config(tmp_path / "c.ini", "[experiment]\nname = twopoint\nout = %s\n\n"
+                         "[twopoint]\ndistances = %s\n" % (tmp_path / "out", distances))
+        assert main(["run", "--config", p]) == 2
+        assert "twopoint.distances: entries must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_presets_command(self, capsys):
         assert main(["presets"]) == 0

@@ -2,8 +2,9 @@
 never uses, no local name that a function there assigns and never reads
 (local names starting with an underscore are exempt), no parameter of a
 public function or method of the package that its body never reads, and no
-public module-level function or class of the package without a caller
-outside the module tests."""
+public module-level function or class, and no public method, property or
+annotated field of a package class, without a reader outside the module
+tests."""
 
 import ast
 import importlib.util
@@ -172,6 +173,44 @@ def test_parameter_guard_catches_dead_code():
         "f: b", "f: args", "f: c", "inner: x", "m: default"]
 
 
+def attribute_reads(tree, strings=False) -> Counter:
+    """How often the tree reads each attribute name (an ast.Attribute in a
+    Load context); with `strings`, also its string constants, since the
+    benchmark patches members by name.  Constructor keywords and attribute
+    stores are writes and do not count."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def unread_members(modules: dict, outside: Counter) -> list:
+    """Public methods, properties and annotated fields of the classes of
+    `modules` (name -> tree) that no attribute read of a package module
+    reaches outside the member's own definition, and that `outside` does not
+    read either, as "module.Class.member"."""
+    total = sum((attribute_reads(t) for t in modules.values()), outside)
+    out = []
+    for name, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    member = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    member = node.target.id
+                else:
+                    continue
+                if (not member.startswith("_")
+                        and total[member] == attribute_reads(node)[member]):
+                    out.append(f"{name}.{cls.name}.{member}")
+    return sorted(out)
+
+
 def test_every_public_name_has_a_caller():
     # callers: the package itself, the benchmark and the acceptance suite;
     # a name that only its module tests reach is dead code
@@ -195,6 +234,41 @@ def test_caller_guard_catches_dead_code():
     }
     assert uncalled_names(modules, {"patched", "main"}) == ["a.recursive"]
     assert uncalled_names(modules, set()) == ["a.patched", "a.recursive", "b.main"]
+
+
+def test_every_public_member_has_a_reader():
+    # readers as for module names; a field that only its constructor call
+    # writes is an input echo, a member that only module tests read is dead
+    # code.  ConnectivityBound.c_bound needs no exemption: compute_R_delta
+    # reads it.
+    outside = attribute_reads(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    for path in sorted((ROOT / "spinbench").glob("*.py")):
+        outside += attribute_reads(ast.parse(path.read_text()), strings=True)
+    modules = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    assert unread_members(modules, outside) == []
+
+
+def test_member_guard_catches_dead_code():
+    modules = {
+        "a": ast.parse("@dataclass\n"
+                       "class R:\n"
+                       "    used: int\n"
+                       "    written: int\n"
+                       "    _private: int\n"
+                       "    def recursive(self): return self.recursive()\n"
+                       "    @property\n"
+                       "    def prop(self): return self.used\n"
+                       "    def patched(self): pass\n"
+                       "    def __len__(self): return 0\n"),
+        "b": ast.parse("def make():\n"
+                       "    r = a.R(used=1, written=2)\n"
+                       "    r.written = 3\n"
+                       "    return r\n"),
+    }
+    assert unread_members(modules, Counter()) == [
+        "a.R.patched", "a.R.prop", "a.R.recursive", "a.R.written"]
+    assert unread_members(modules, Counter(["patched", "prop"])) == [
+        "a.R.recursive", "a.R.written"]
 
 
 def _spinlab_attributes() -> dict:

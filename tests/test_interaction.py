@@ -172,6 +172,14 @@ class TestOnGrid:
         assert np.array_equal(poly.on_grid(8), np.full(8, 2.5))
 
 
+def _second_derivative(poly, phi):
+    """U'' of a trigonometric polynomial, mode by mode: the reference that
+    `second_derivative_bound` must dominate."""
+    s = np.arange(1, poly.degree + 1)[:, None]
+    return -(s * s * (poly.cos_coeffs[:, None] * np.cos(s * phi)
+                      + poly.sin_coeffs[:, None] * np.sin(s * phi))).sum(axis=0)
+
+
 class TestSecondDerivativeBound:
     def test_pure_cosine(self):
         poly = TrigPolynomial(0.0, np.array([-1.0]), np.array([0.0]))
@@ -181,8 +189,8 @@ class TestSecondDerivativeBound:
         poly = TrigPolynomial(0.0, np.array([-1.0, -0.5]), np.zeros(2))
         bound = second_derivative_bound(poly)
         assert bound == pytest.approx(3.0)
-        # grid oracle: numerically differentiated maximum never exceeds it
-        grid_max = np.max(poly.second_derivative(GRID))
+        # grid oracle: the maximum of U'' on the grid never exceeds it
+        grid_max = np.max(_second_derivative(poly, GRID))
         assert grid_max <= bound * (1 + 1e-8)
 
     def test_constant(self):
@@ -196,7 +204,7 @@ class TestSecondDerivativeBound:
         poly = TrigPolynomial(float(rng.normal()),
                               rng.normal(size=deg), rng.normal(size=deg))
         bound = second_derivative_bound(poly)
-        assert np.max(poly.second_derivative(GRID)) <= bound * (1 + 1e-8) + 1e-12
+        assert np.max(_second_derivative(poly, GRID)) <= bound * (1 + 1e-8) + 1e-12
 
 
 def _dec_with_upsilon(ups_func, smooth=None):
@@ -346,3 +354,20 @@ class TestToySystem:
 
     def test_bond_count(self):
         assert len(self._system(0.01).bonds) == 24
+
+    def test_one_site_partition_function(self):
+        # one site inside, its four neighbours at angle 0: Z(A) is the sum
+        # over its q states of the four bond weights, the tilted ones times
+        # e^upsilon - 1.  A smooth part that is not even tells the bonds to
+        # the left and below (difference -phi) from the others (+phi).
+        q, c = 8, 0.05
+        sys = DiscretizedToySystem(
+            n=0, states=q, smooth=lambda p: -np.cos(p) - 0.3 * np.sin(p),
+            upsilon=lambda p: np.full_like(np.asarray(p, dtype=float), c))
+        phi = 2 * math.pi * np.arange(q) / q
+        up = np.exp(np.cos(phi) + 0.3 * np.sin(phi))  # right and top bonds
+        down = np.exp(np.cos(phi) - 0.3 * np.sin(phi))  # left and bottom bonds
+        for k in range(5):
+            expected = float(np.sum(up ** 2 * down ** 2)) * math.expm1(c) ** k
+            assert sys.partition_function(sys.bonds[:k]) == pytest.approx(
+                expected, rel=1e-12)

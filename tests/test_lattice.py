@@ -69,6 +69,12 @@ class TestInterlayerBonds:
             assert (u in inner) != (u in outer)
 
 
+def _sites(rect):
+    """The sites of a shell rectangle, both ranges inclusive."""
+    (x0, x1), (y0, y1) = rect.x_range, rect.y_range
+    return {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
+
+
 class TestShells:
     def test_l2_north(self):
         r = shell_rectangles(2)["N"]
@@ -78,11 +84,11 @@ class TestShells:
     def test_l2_south_is_rotation_of_north(self):
         rects = shell_rectangles(2)
         n, s = rects["N"], rects["S"]
-        assert set(s.sites) == {(-x, -y) for (x, y) in n.sites}
+        assert _sites(s) == {(-x, -y) for (x, y) in _sites(n)}
 
     def test_shells_at_different_scales_disjoint(self):
         def shell(l):
-            return {x for r in shell_rectangles(l).values() for x in r.sites}
+            return set().union(*map(_sites, shell_rectangles(l).values()))
 
         assert not (shell(2) & shell(3))
         assert not (shell(3) & shell(4))
@@ -95,7 +101,7 @@ class TestShells:
         # same-scale rectangles share corner squares; that overlap is what
         # lets four crossings close up into a circuit
         rects = shell_rectangles(3)
-        assert set(rects["N"].sites) & set(rects["E"].sites)
+        assert _sites(rects["N"]) & _sites(rects["E"])
 
     def test_long_axis(self):
         rects = shell_rectangles(3)
@@ -123,7 +129,6 @@ class TestDualPath:
         loop = DualPath([(-1, -1), (0, -1), (0, 0), (-1, 0), (-1, -1)])
         assert loop.is_loop
         assert loop.winding_number() == 1
-        assert loop.is_circuit
 
     def test_reversed_loop_winds_minus_once(self):
         loop = DualPath([(-1, -1), (-1, 0), (0, 0), (0, -1), (-1, -1)])
@@ -132,7 +137,7 @@ class TestDualPath:
     def test_off_origin_loop_is_not_circuit(self):
         loop = DualPath([(2, 2), (3, 2), (3, 3), (2, 3), (2, 2)])
         assert loop.is_loop
-        assert not loop.is_circuit
+        assert loop.winding_number() == 0
 
 
 def straight_crossing(rect, offset=0):
@@ -156,7 +161,7 @@ class TestCircuitFromCrossings:
         lam_n, lam_e, lam_s, lam_w = self._four(l)
         circ = circuit_from_crossings(lam_n, lam_e, lam_s, lam_w,
                                       radius=2 ** l + 2)
-        assert circ.is_circuit
+        assert circ.is_loop
         assert circ.winding_number() == 1
         allowed = set(lam_n.bonds) | set(lam_e.bonds) | set(lam_s.bonds) | set(lam_w.bonds)
         assert set(circ.bonds) <= allowed

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import iv
 
 from spinlab import lattice
-from spinlab.interaction import absval, aizenman, decompose, xy
+from spinlab.interaction import PairPotential, absval, aizenman, decompose, xy
 from spinlab.layer_measure import (
     CircleDensity,
     OrbitConfiguration,
@@ -97,6 +97,10 @@ def _tolerance(k, pot):
     return 1e-12 * (len(lattice.interlayer_bonds(k)) * size + 1.0)
 
 
+def _trig_potential(poly):
+    return PairPotential("trig", poly, fourier=poly)
+
+
 GRIDS = [16, 63, 1024]
 
 
@@ -107,7 +111,7 @@ class TestFourierPath:
     @pytest.mark.parametrize("m", GRIDS)
     @pytest.mark.parametrize("make", [
         lambda: xy(0.25), lambda: xy(1.0), lambda: xy(7.5),
-        lambda: decompose(absval(), 0.25).smooth.as_potential(),  # degree 8
+        lambda: _trig_potential(decompose(absval(), 0.25).smooth),  # degree 8
     ], ids=["xy0.25", "xy1", "xy7.5", "absval-smooth-part"])
     def test_matches_tabulation(self, make, m):
         pot = make()

@@ -43,6 +43,18 @@ class TestSampling:
         c = sample_bernoulli(0.3, domain, seed=43)
         assert a.bonds != c.bonds
 
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    @pytest.mark.parametrize("eps", [0.01, 0.3])
+    def test_same_draw_as_sorted_domain(self, n, eps):
+        # the reference sorts the domain and zips it with the uniforms;
+        # box_bonds comes sorted, so the draws agree bond for bond
+        domain = box_bonds(n)
+        assert domain == sorted(domain)
+        for seed in range(5):
+            u = np.random.default_rng(seed).random(len(domain))
+            reference = {b for b, v in zip(sorted(domain), u) if v < eps}
+            assert sample_bernoulli(eps, domain, seed).bonds == reference
+
 
 def tall_rect():
     """9 x 3 sites: d-grid 8 x 2, crossings run along x."""
@@ -204,9 +216,12 @@ class TestSparseness:
         alpha = 0.1
         cert = sparseness_certificate(set(), n=16, rho=0.5, alpha=alpha)
         assert cert.verdict
-        assert cert.scales == [2, 3, 4]
+        # scales 2..4 of the box: the event holds at each, and each gives circuits
+        scales = [k for k in range(2, 5) if short_crossing_event(set(), k, alpha).holds]
+        assert scales == [2, 3, 4]
+        assert sorted({k for k, _ in cert.circuits}) == scales
         # each working scale contributes at least alpha^2/128
-        assert cert.value >= len(cert.scales) * alpha ** 2 / 128
+        assert cert.value >= len(scales) * alpha ** 2 / 128
 
     def test_blocking_column_defeats_it(self):
         n = 16
@@ -222,7 +237,7 @@ class TestSparseness:
         cert = sparseness_certificate(a, n=16, rho=0.5, alpha=0.1)
         used = set()
         for _, circ in cert.circuits:
-            assert circ.is_circuit
+            assert circ.is_loop
             assert circ.winding_number() == 1
             assert circ.avoids(a)
             sites = set(circ.dsites[:-1])

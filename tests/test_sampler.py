@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from scipy.special import i0, i1
 
 from spinlab import sampler
-from spinlab.interaction import (TrigPolynomial, absval, aizenman, circle_dist,
-                                 decompose, wrap_angle, xy)
+from spinlab.interaction import (PairPotential, TrigPolynomial, absval, aizenman,
+                                 circle_dist, decompose, wrap_angle, xy)
 from spinlab.lattice import layer_sites, sup_grid
 from spinlab.sampler import (
     SpinConfiguration,
@@ -141,9 +141,10 @@ class TestLocalFieldSweep:
     # size of roundoff.  The tilted polynomial is not even, so it is no pair
     # potential, but both paths take the energy of a site as sum_j U(x - phi_j),
     # and its large sin coefficients show a wrong sign or a dropped sin term.
-    POTENTIALS = [xy(0.7), decompose(absval(), 0.5).smooth.as_potential(),
-                  TrigPolynomial(0.2, np.array([-0.8, 0.3]),
-                                 np.array([0.5, -0.2])).as_potential("tilted")]
+    SMOOTH = decompose(absval(), 0.5).smooth
+    TILTED = TrigPolynomial(0.2, np.array([-0.8, 0.3]), np.array([0.5, -0.2]))
+    POTENTIALS = [xy(0.7), PairPotential("trig", SMOOTH, fourier=SMOOTH),
+                  PairPotential("tilted", TILTED, fourier=TILTED)]
 
     @staticmethod
     def _chain(pot, bc, monkeypatch, init=None):
@@ -155,10 +156,12 @@ class TestLocalFieldSweep:
             return counts[-1]
 
         monkeypatch.setattr(sampler, "metropolis_sweep", counted)
-        start = None if init is None else SpinConfiguration(init.n, init.grid.copy())
-        stats = run_chain(pot, bc, 6, 300, seed=8, burn=0, init=start)
+        # run_chain updates its start in place
+        start = (initial_configuration(bc, 6, np.random.default_rng(80))
+                 if init is None else SpinConfiguration(init.n, init.grid.copy()))
+        run_chain(pot, bc, 6, 300, seed=8, burn=0, init=start)
         monkeypatch.undo()
-        return counts, stats.final.grid
+        return counts, start.grid
 
     def test_smooth_part_has_sin_coefficients(self):
         poly = self.POTENTIALS[1].fourier
