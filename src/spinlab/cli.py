@@ -169,7 +169,7 @@ def _run_layers(p, seed):
         orbit = OrbitConfiguration.random(p["n"], rng)
         densities = [chi_density(layer_potential(k, orbit, pot, grid_size=p["grid"]))
                      for k in range(p["n"] + 1)]
-        for k in range(min(p["kmax"], p["n"]) + 1):
+        for k in range(min(p["kmax"], p["n"] - 1) + 1):
             prod = convolve(densities[k:])
             dev = prod.sup_deviation
             bound = uniformity_bound(k, p["n"], c1)

@@ -13,6 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import lattice
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -115,6 +117,8 @@ def potential_preset(spec: str) -> PairPotential:
         if not rest.endswith(")"):
             raise ValueError(f"unclosed potential preset {spec!r}")
         args = [float(a) for a in rest[:-1].split(",") if a.strip()]
+        if not all(map(math.isfinite, args)):
+            raise ValueError(f"non-finite argument in potential preset {spec!r}")
     else:
         name, args = spec, []
     if name not in _PRESETS:
@@ -284,9 +288,9 @@ class DiscretizedToySystem:
     """Spins taking q equally spaced angles on a (2n+1)^2 box, n <= 1, with
     the boundary fixed at angle 0.
 
-    Partition functions with per-bond tilting factors are computed exactly by
-    a row transfer matrix, which is what makes conditional open probabilities
-    of the dependent bond process enumerable.
+    Partition functions with per-bond tilting factors are computed exactly
+    by one tensor contraction over the bonds, which is what makes
+    conditional open probabilities of the dependent bond process enumerable.
     """
 
     n: int
@@ -297,70 +301,34 @@ class DiscretizedToySystem:
     def __post_init__(self):
         if self.n > 1:
             raise ValueError("toy systems are meant for boxes <= 3x3")
-        self.side = 2 * self.n + 1
-        self.angles = TWO_PI * np.arange(self.states) / self.states
-        from . import lattice
-        sites = lattice.box_sites(self.n)
-        inside = set(sites)
-        bonds = set()
-        for u in sites:
-            for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                v = (u[0] + d[0], u[1] + d[1])
-                bonds.add(lattice.canonical_bond(u, v))
-        self.bonds = sorted(bonds)  # all of E_n: at least one end inside
-        self.inside = inside
-        import itertools
-        self._rows = np.array(list(itertools.product(range(self.states),
-                                                     repeat=self.side)))
-
-    def _weight_vectors(self):
-        """Per-difference weights w[d] for plain and tilted bonds."""
-        diff = self.angles
-        plain = np.exp(-np.asarray(self.smooth(diff), dtype=float))
-        tilt = plain * np.expm1(np.asarray(self.upsilon(diff), dtype=float))
-        return plain, tilt
+        self.bonds = sorted({  # all of E_n: at least one end inside
+            lattice.canonical_bond(u, (u[0] + dx, u[1] + dy))
+            for u in lattice.box_sites(self.n)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))})
 
     def partition_function(self, tilted_bonds) -> float:
-        """Z(A) = sum_phi e^{-H_U} prod_{b in A} (e^{upsilon} - 1), exactly."""
-        from .lattice import canonical_bond
+        """Z(A) = sum_phi e^{-H_U} prod_{b in A} (e^{upsilon} - 1), exactly.
+
+        Bond (u, v), u < v, weighs w((phi_u - phi_v) mod q): a q x q factor
+        on the states of its two ends, of which a boundary end keeps only
+        state 0.  Z contracts all the factors over the states of the box.
+        """
+        q = self.states
+        diff = TWO_PI * np.arange(q) / q
+        plain = np.exp(-np.asarray(self.smooth(diff), dtype=float))
+        tilt = plain * np.expm1(np.asarray(self.upsilon(diff), dtype=float))
+        pairs = np.subtract.outer(np.arange(q), np.arange(q)) % q
         tilted = set(tilted_bonds)
-        plain, tilt = self._weight_vectors()
-        q, side, n = self.states, self.side, self.n
-        xs = list(range(-n, n + 1))
-        ys = list(range(-n, n + 1))
-        rows = self._rows  # (R, side) state tuples
-
-        def wv(u, v):
-            return tilt if canonical_bond(u, v) in tilted else plain
-
-        def row_weight(y):
-            out = np.ones(len(rows))
-            for i in range(side - 1):
-                out *= wv((xs[i], y), (xs[i + 1], y))[(rows[:, i] - rows[:, i + 1]) % q]
-            # bonds to the fixed boundary columns x = +-(n+1)
-            out *= wv((-n - 1, y), (xs[0], y))[-rows[:, 0] % q]
-            out *= wv((xs[-1], y), (n + 1, y))[rows[:, -1]]
-            return out
-
-        def vert_trans(y):
-            # (R, R) matrix of vertical-bond weights between row y and y+1
-            out = np.ones((len(rows), len(rows)))
-            for i in range(side):
-                d = (rows[:, None, i] - rows[None, :, i]) % q
-                out *= wv((xs[i], y), (xs[i], y + 1))[d]
-            return out
-
-        # boundary rows y = +-(n+1) are fixed at state 0
-        bottom = np.ones(len(rows))
-        for i in range(side):
-            bottom *= wv((xs[i], ys[0] - 1), (xs[i], ys[0]))[-rows[:, i] % q]
-        vec = bottom * row_weight(ys[0])
-        for j in range(1, len(ys)):
-            vec = vec @ vert_trans(ys[j] - 1) * row_weight(ys[j])
-        top = np.ones(len(rows))
-        for i in range(side):
-            top *= wv((xs[i], ys[-1]), (xs[i], ys[-1] + 1))[rows[:, i]]
-        return float(vec @ top)
+        index = {u: i for i, u in enumerate(lattice.box_sites(self.n))}
+        operands = []
+        for u, v in self.bonds:
+            w = (tilt if (u, v) in tilted else plain)[pairs]
+            if u not in index:
+                w = w[0]
+            elif v not in index:
+                w = w[:, 0]
+            operands += [w, [index[x] for x in (u, v) if x in index]]
+        return float(np.einsum(*operands, [], optimize="greedy"))
 
     def conditional_open_probability(self, bond, conditioning) -> float:
         """P(bond in A | A minus bond = conditioning), exactly."""

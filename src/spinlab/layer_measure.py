@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -125,14 +125,16 @@ class CircleDensity:
     """Probability density on the circle, grid values w.r.t. dt/(2pi)."""
 
     values: np.ndarray
-    _coeffs: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         if np.min(self.values) < 0:
             raise ValueError("density must be nonnegative")
         if abs(float(np.mean(self.values)) - 1.0) > 1e-10:
             raise ValueError("density must normalize to a_0 = 1")
-        self._coeffs = np.fft.ifft(self.values)
+
+    @functools.cached_property
+    def _coeffs(self) -> np.ndarray:
+        return np.fft.ifft(self.values)
 
     @property
     def grid_size(self) -> int:

@@ -148,13 +148,20 @@ def kernel_preset(spec: str, radius: int = DEFAULT_RADIUS) -> CouplingKernel:
     if spec == "nn":
         return nn_kernel()
     if spec.startswith("powerlaw(") and spec.endswith(")"):
-        return powerlaw_kernel(float(spec[9:-1]), radius)
+        return powerlaw_kernel(_finite(spec[9:-1]), radius)
     if spec.startswith("logcorr(") and spec.endswith(")"):
         return logcorr_kernel(int(spec[8:-1]), radius)
     if spec.startswith("logcorr_eps(") and spec.endswith(")"):
         p, eps = spec[12:-1].split(",")
-        return logcorr_kernel(int(p), radius, last_exponent=1.0 + float(eps))
+        return logcorr_kernel(int(p), radius, last_exponent=1.0 + _finite(eps))
     raise ValueError(f"unknown kernel preset: {spec}")
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite kernel preset argument {text!r}")
+    return x
 
 
 def _dirichlet(r, theta):

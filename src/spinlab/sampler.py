@@ -127,28 +127,24 @@ def hardcore_violations(cfg: SpinConfiguration, pot: PairPotential,
     both endpoints interior) whose angle difference exceeds the cutoff."""
     if not pot.is_hard_core:
         return 0
-    i, j = _counted_bonds(cfg.n, bc.kind == "free")
-    flat = cfg.grid.ravel()
-    return int(np.count_nonzero(circle_dist(flat[i] - flat[j]) > pot.cutoff + 1e-12))
+    mx, my = _bond_masks(cfg.n, bc.kind == "free")
+    g, cut = cfg.grid, pot.cutoff + 1e-12
+    return int(np.count_nonzero(circle_dist(g[1:] - g[:-1])[mx] > cut)
+               + np.count_nonzero(circle_dist(g[:, 1:] - g[:, :-1])[my] > cut))
 
 
 @functools.cache
-def _counted_bonds(n: int, free: bool):
-    """Flat-index ends (i, j), i the larger, of the bonds that
-    `hardcore_violations` counts on the extended grid of a box of radius n."""
-    s = 2 * n + 3
+def _bond_masks(n: int, free: bool):
+    """The bonds that count on the extended grid of a box of radius n: mx
+    for those from grid point (i, j) to (i + 1, j), my for those to
+    (i, j + 1).  A bond counts when one end is interior, or both under a
+    free bc."""
     interior = sup_grid(n + 1) <= n
-    flat = np.arange(s * s).reshape(s, s)
-    ends = []
-    for axis in (0, 1):
-        ia = np.moveaxis(interior, axis, 0)
-        fa = np.moveaxis(flat, axis, 0)
-        w = ia[1:] & ia[:-1] if free else ia[1:] | ia[:-1]
-        ends.append((fa[1:][w], fa[:-1][w]))
-    i, j = (np.concatenate(e) for e in zip(*ends))
-    i.setflags(write=False)  # shared by every caller through the cache
-    j.setflags(write=False)
-    return i, j
+    join = np.logical_and if free else np.logical_or
+    masks = join(interior[1:], interior[:-1]), join(interior[:, 1:], interior[:, :-1])
+    for m in masks:
+        m.setflags(write=False)  # shared by every caller through the cache
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -165,46 +161,30 @@ def accept_probability(delta_e) -> np.ndarray:
 class _Stencil:
     """Flat-index update phases (sites, neighbours, present) for one (n, bc)
     pair: two interior checkerboard colors and, for a smeared bc, the
-    boundary ring, with the staircase values there as `ring_centres`."""
+    boundary ring, with the staircase values there as `ring_centres`.  The
+    neighbours are the steps (+1, 0), (-1, 0), (0, +1), (0, -1); an absent
+    one points one past the grid, where the local-field sweep keeps zeros."""
 
     def __init__(self, n: int, bc: BoundaryCondition):
         s = 2 * n + 3
         sup = sup_grid(n + 1)
-        interior = sup <= n
-        xs, ys = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
-        flat = xs * s + ys
-        self.phases = []
-        for color in (0, 1):
-            mask = interior & ((xs + ys) % 2 == color)
-            self.phases.append(self._phase(mask, interior, bc, s, xs, ys, flat))
+        mx, my = _bond_masks(n, bc.kind == "free")
+        # padded with absent bonds past the edges, then taken per step
+        mx, my = np.pad(mx, [(1, 1), (0, 0)]), np.pad(my, [(0, 0), (1, 1)])
+        bonds = np.stack([mx[1:], mx[:-1], my[:, 1:], my[:, :-1]])
+        xs, ys = np.indices((s, s))
+        masks = [(sup <= n) & ((xs + ys) % 2 == color) for color in (0, 1)]
         self.ring_phase = None
         if bc.kind == "smeared":
-            ring = sup == n + 1
-            self.phases.append(self._phase(ring, interior, bc, s, xs, ys, flat))
-            self.ring_phase = len(self.phases) - 1
-            self.ring_centres = initial_configuration(bc, n, None).grid[ring]
+            masks.append(sup == n + 1)
+            self.ring_phase = 2
+            self.ring_centres = initial_configuration(bc, n, None).grid[masks[2]]
+        step = np.array([s, -s, 1, -1])[:, None]
+        self.phases = []
+        for mask in masks:
+            idx, present = np.flatnonzero(mask), bonds[:, mask]
+            self.phases.append((idx, np.where(present, idx + step, s * s), present))
         self.n_sites = sum(len(idx) for idx, _, _ in self.phases)
-        # for the local-field sweep an absent neighbour points one past the
-        # grid, where that sweep keeps zeros
-        self.field_nbrs = [np.where(p, nbr, s * s) for _, nbr, p in self.phases]
-
-    def _phase(self, mask, interior, bc, s, xs, ys, flat):
-        idx = flat[mask]
-        px, py = xs[mask], ys[mask]
-        nbr = np.zeros((4, len(idx)), dtype=np.int64)
-        present = np.zeros((4, len(idx)), dtype=bool)
-        for d, (dx, dy) in enumerate([(1, 0), (-1, 0), (0, 1), (0, -1)]):
-            qx, qy = px + dx, py + dy
-            inside = (qx >= 0) & (qx < s) & (qy >= 0) & (qy < s)
-            nbr[d] = np.where(inside, qx * s + qy, 0)
-            q_int = np.zeros(len(idx), dtype=bool)
-            q_int[inside] = interior[qx[inside], qy[inside]]
-            p_int = interior[px, py]
-            if bc.kind == "free":
-                present[d] = inside & p_int & q_int
-            else:
-                present[d] = inside & (p_int | q_int)
-        return idx, nbr, present
 
 
 def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
@@ -229,7 +209,7 @@ def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
     for p, (idx, nbr, present) in enumerate(stencil.phases):
         cur = flat[idx]
         prop = _propose(cur, width, rng)
-        nbrv = flat[nbr]
+        nbrv = flat.take(nbr, mode="clip")
         with np.errstate(invalid="ignore"):
             e_old = np.where(present, pot(cur[None, :] - nbrv), 0.0).sum(axis=0)
             e_new = np.where(present, pot(prop[None, :] - nbrv), 0.0).sum(axis=0)
@@ -275,17 +255,17 @@ def _local_field_sweep(cfg, pot, bc, width, rng, stencil) -> int:
     e = np.zeros((poly.degree, flat.size + 1), dtype=complex)  # last: absent
     e[:, :-1] = np.exp(modes * flat)
     accepted = 0
-    for p, ((idx, nbr, present), field_nbr) in enumerate(
-            zip(stencil.phases, stencil.field_nbrs)):
+    for p, (idx, nbr, present) in enumerate(stencil.phases):
         cur = flat.take(idx)
         prop = _propose(cur, width, rng)
         e_prop = np.exp(modes * prop)
-        field = coef * e.take(field_nbr, axis=1).sum(axis=1).conj()
+        field = coef * e.take(nbr, axis=1).sum(axis=1).conj()
         de = ((e_prop - e.take(idx, axis=1)) * field).real.sum(axis=0)
         ok = np.log(rng.random(len(idx))) < -de
         if pot.cutoff is not None:
             # rows: the proposal, then the current angle, breaks a present bond
-            broken = ((circle_dist(np.stack([prop, cur])[:, None, :] - flat.take(nbr))
+            broken = ((circle_dist(np.stack([prop, cur])[:, None, :]
+                                   - flat.take(nbr, mode="clip"))
                        > pot.cutoff) & present).any(axis=1)
             ok = (ok | broken[1]) & ~broken[0]
         if p == stencil.ring_phase:
@@ -480,7 +460,7 @@ class FeasibilityCertificate:
     """
 
     verdict: str  # feasible | infeasible | uniquely-rigid
-    witness: Optional[dict]  # site of G -> wrap_angle(lower); None if infeasible
+    witness: Optional[SpinConfiguration]  # G at wrap_angle(lower); None if infeasible
     lower: Optional[np.ndarray]  # per site of G in `_lift_graph` order
     upper: Optional[np.ndarray]
 
@@ -507,20 +487,22 @@ def feasibility(bc: BoundaryCondition, theta: float, n: int) -> FeasibilityCerti
     model under fixed or staircase values or smeared arcs on the ring."""
     if bc.kind == "free":
         raise ValueError("free boundary conditions leave nothing to certify")
-    sites, _, e = _lift_graph(n)
-    ring = sites[e == 1] + n + 1
-    centres = initial_configuration(bc, n, None).grid[ring[:, 0], ring[:, 1]]
-    return _certify(centres, bc.delta if bc.kind == "smeared" else 0.0, theta, n)
+    return _certify(initial_configuration(bc, n, None),
+                    bc.delta if bc.kind == "smeared" else 0.0, theta)
 
 
-def _certify(centres, delta: float, theta: float, n: int) -> FeasibilityCertificate:
-    """Certificate for arcs of half-width delta around `centres` on R'."""
+def _certify(cfg: SpinConfiguration, delta: float, theta: float) -> FeasibilityCertificate:
+    """Certificate for arcs of half-width delta around the values of `cfg`
+    on R'; the witness is `cfg` with G at the lower envelope."""
     if 3 * theta + 2 * delta >= math.pi:
         raise ValueError("the ring lifts uniquely only for 3 theta + 2 delta < pi")
+    n = cfg.n
+    sites, anchor, e = _lift_graph(n)
+    at = (sites[:, 0] + n + 1, sites[:, 1] + n + 1)
+    centres = cfg.grid[at][e == 1]
     step = np.roll(centres, -1) - centres
     turns = np.rint((wrap_angle(step) - step) / TWO_PI)
     lifted = centres + TWO_PI * np.concatenate([[0.0], np.cumsum(turns[:-1])])
-    sites, anchor, e = _lift_graph(n)
     ring = np.flatnonzero(e)
     reach = theta * _distance(anchor, e, np.arange(len(sites))[:, None], ring)
     # 1e-12 keeps exactly compatible pairs compatible despite roundoff
@@ -528,20 +510,19 @@ def _certify(centres, delta: float, theta: float, n: int) -> FeasibilityCertific
         return FeasibilityCertificate("infeasible", None, None, None)
     lower = (lifted - delta - reach).max(axis=1)
     upper = (lifted + delta + reach).min(axis=1)
-    cfg = SpinConfiguration(n, np.zeros((2 * n + 3, 2 * n + 3)))
-    cfg.grid[sites[:, 0] + n + 1, sites[:, 1] + n + 1] = wrap_angle(lower)
-    bad = hardcore_violations(cfg, aizenman(theta), fixed_bc())  # bonds with an interior end
+    witness = SpinConfiguration(n, cfg.grid.copy())
+    witness.grid[at] = wrap_angle(lower)
+    bad = hardcore_violations(witness, aizenman(theta), fixed_bc())  # bonds with an interior end
     if bad:
         raise RuntimeError(f"lower envelope breaks the hard core on {bad} bonds")
     rigid = np.all((upper - lower)[e == 0] < 1e-9)
-    witness = dict(zip(map(tuple, sites.tolist()), wrap_angle(lower).tolist()))
     return FeasibilityCertificate("uniquely-rigid" if rigid else "feasible",
                                   witness, lower, upper)
 
 
-def feasible_point(cert: FeasibilityCertificate, theta: float, n: int, rng):
-    """A random finite-energy configuration: site of G -> angle, or None if
-    the certificate is infeasible.
+def feasible_point(cert: FeasibilityCertificate, theta: float, rng):
+    """A random finite-energy configuration, the witness with new values on
+    G, or None if the certificate is infeasible.
 
     The sites of G are fixed in random order, each uniformly inside its
     current [lower, upper], which then tightens every other site's bounds by
@@ -550,6 +531,7 @@ def feasible_point(cert: FeasibilityCertificate, theta: float, n: int, rng):
     """
     if cert.verdict == "infeasible":
         return None
+    n = cert.witness.n
     sites, anchor, e = _lift_graph(n)
     lo, hi = cert.lower.copy(), cert.upper.copy()
     every = np.arange(len(sites))
@@ -558,7 +540,9 @@ def feasible_point(cert: FeasibilityCertificate, theta: float, n: int, rng):
         reach = theta * _distance(anchor, e, s, every)
         np.maximum(lo, v - reach, out=lo)
         np.minimum(hi, v + reach, out=hi)
-    return dict(zip(map(tuple, sites.tolist()), wrap_angle(lo).tolist()))
+    point = SpinConfiguration(n, cert.witness.grid.copy())
+    point.grid[sites[:, 0] + n + 1, sites[:, 1] + n + 1] = wrap_angle(lo)
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +629,11 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
     bc = smeared_bc(k, delta, sigma)
     init = initial_configuration(bc, n, None)
     if hardcore_violations(init, pot, bc):
-        cert = feasibility(bc, theta, n)
-        if cert.verdict == "infeasible":
+        init = feasibility(bc, theta, n).witness
+        if init is None:
             raise RuntimeError(
                 "no finite-energy configuration for this smeared staircase: "
                 "the conditional measure is identically zero")
-        for (x1, x2), angle in cert.witness.items():
-            init.grid[x1 + n + 1, x2 + n + 1] = angle
     report = sample_state(pot, bc, n, sweeps, seed, init=init)
     gap, err = _covariance_check(report.stats, sigma, theta)
     return AizenmanReport(report, gap, err)

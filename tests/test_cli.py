@@ -292,6 +292,11 @@ radius = 128
         ("decompose51", "potential", "aizenman(0.5"),
         ("recurrence", "kernel", "powerlaw(x)"),
         ("entropy", "kernel", "logcorr(1)"),
+        ("rotation", "potential", "xy(nan)"),
+        ("twopoint", "potential", "logsing(nan)"),
+        ("layers", "potential", "xy(inf)"),
+        ("recurrence", "kernel", "powerlaw(nan)"),
+        ("entropy", "kernel", "logcorr_eps(2, nan)"),
     ])
     def test_bad_preset_is_config_error(self, tmp_path, capsys, name, key, spec):
         p = write_config(tmp_path / "c.ini", "[experiment]\nname = %s\nout = %s\n\n"
@@ -446,6 +451,24 @@ out = %s
     def test_missing_manifest(self, tmp_path):
         verdicts = verify(str(tmp_path / "none.json"))
         assert verdicts[0]["status"] == "missing"
+
+    def test_layers_kmax_beyond_box_stops_below_r(self, tmp_path):
+        # the uniformity bound needs r >= k + 1, so k stops at n - 1
+        p = write_config(tmp_path / "c.ini", """
+[experiment]
+name = layers
+out = %s
+
+[layers]
+n = 3
+orbits = 1
+kmax = 4
+grid = 256
+""" % (tmp_path / "out"))
+        assert main(["run", "--config", p]) == 0
+        lines = (tmp_path / "out" / "layers.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["0", "1", "2"]
+        assert main(["verify", "--manifest", str(tmp_path / "out" / "manifest.json")]) == 0
 
     def test_fresh_layers_predicate_evaluated(self, tmp_path):
         p = write_config(tmp_path / "c.ini", """

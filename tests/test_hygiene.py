@@ -2,9 +2,9 @@
 never uses, no local name that a function there assigns and never reads
 (local names starting with an underscore are exempt), no parameter of a
 public function or method of the package that its body never reads, and no
-public module-level function or class, and no public method, property or
-annotated field of a package class, without a reader outside the module
-tests."""
+public module-level function or class, and no public method, property,
+annotated field or instance attribute of a package class, without a reader
+outside the module tests."""
 
 import ast
 import importlib.util
@@ -187,27 +187,36 @@ def attribute_reads(tree, strings=False) -> Counter:
     return out
 
 
+def class_members(cls):
+    """(name, definition) for each method, property and annotated field of
+    the class, and for each attribute that one of its methods stores on
+    `self`, with that store as its definition."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+            for store in ast.walk(node):
+                if (isinstance(store, ast.Attribute) and isinstance(store.ctx, ast.Store)
+                        and isinstance(store.value, ast.Name) and store.value.id == "self"):
+                    yield store.attr, store
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
 def unread_members(modules: dict, outside: Counter) -> list:
-    """Public methods, properties and annotated fields of the classes of
-    `modules` (name -> tree) that no attribute read of a package module
-    reaches outside the member's own definition, and that `outside` does not
-    read either, as "module.Class.member"."""
+    """Public methods, properties, annotated fields and instance attributes
+    of the classes of `modules` (name -> tree) that no attribute read of a
+    package module reaches outside the member's own definition, and that
+    `outside` does not read either, as "module.Class.member"."""
     total = sum((attribute_reads(t) for t in modules.values()), outside)
-    out = []
+    out = set()
     for name, tree in modules.items():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            for node in cls.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    member = node.name
-                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    member = node.target.id
-                else:
-                    continue
+            for member, node in class_members(cls):
                 if (not member.startswith("_")
                         and total[member] == attribute_reads(node)[member]):
-                    out.append(f"{name}.{cls.name}.{member}")
+                    out.add(f"{name}.{cls.name}.{member}")
     return sorted(out)
 
 
@@ -259,15 +268,20 @@ def test_member_guard_catches_dead_code():
                        "    @property\n"
                        "    def prop(self): return self.used\n"
                        "    def patched(self): pass\n"
-                       "    def __len__(self): return 0\n"),
+                       "    def __len__(self): return 0\n"
+                       "    def __post_init__(self):\n"
+                       "        self.cached = self.used\n"
+                       "        self.dead, self._hidden = 0, 0\n"
+                       "    def reset(self): self.dead = 1\n"),
         "b": ast.parse("def make():\n"
                        "    r = a.R(used=1, written=2)\n"
                        "    r.written = 3\n"
-                       "    return r\n"),
+                       "    r.reset()\n"
+                       "    return r, r.cached\n"),
     }
     assert unread_members(modules, Counter()) == [
-        "a.R.patched", "a.R.prop", "a.R.recursive", "a.R.written"]
-    assert unread_members(modules, Counter(["patched", "prop"])) == [
+        "a.R.dead", "a.R.patched", "a.R.prop", "a.R.recursive", "a.R.written"]
+    assert unread_members(modules, Counter(["patched", "prop", "dead"])) == [
         "a.R.recursive", "a.R.written"]
 
 

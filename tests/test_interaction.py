@@ -371,3 +371,34 @@ class TestToySystem:
             expected = float(np.sum(up ** 2 * down ** 2)) * math.expm1(c) ** k
             assert sys.partition_function(sys.bonds[:k]) == pytest.approx(
                 expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_box_partition_function_by_enumeration(self, q):
+        # every state of the nine spins of the 3x3 box, summed directly.  A
+        # smooth part and an upsilon that are not even tell the two
+        # orientations of each bond apart: bond (u, v), u < v, weighs the
+        # difference phi_u - phi_v, and the boundary sits at angle 0
+        import itertools
+
+        def smooth(p):
+            return -np.cos(p) - 0.3 * np.sin(p)
+
+        def upsilon(p):
+            return 0.05 + 0.02 * np.cos(p) + 0.01 * np.sin(p)
+
+        sys = DiscretizedToySystem(n=1, states=q, smooth=smooth, upsilon=upsilon)
+        states = np.array(list(itertools.product(range(q), repeat=9)))
+        angle = dict(zip(((x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)),
+                         2 * math.pi * states.T / q))
+        rng = np.random.default_rng(q)
+        for _ in range(6):
+            tilted = {b for b in sys.bonds if rng.random() < 0.4}
+            weight = np.ones(len(states))
+            for b in sys.bonds:
+                u, v = min(b), max(b)
+                phi = angle.get(u, 0.0) - angle.get(v, 0.0)
+                weight *= np.exp(-smooth(phi))
+                if b in tilted:
+                    weight *= np.expm1(upsilon(phi))
+            assert sys.partition_function(tilted) == pytest.approx(
+                float(weight.sum()), rel=1e-12)

@@ -373,16 +373,24 @@ def brute_force_feasible(values, k, j):
     return bool(reach.any())
 
 
-def assert_finite_energy(point, bc, n):
-    """`point` covers the box and the ring minus its corners, has no bond
-    over the cutoff and keeps each ring value inside its arc."""
-    cfg = initial_configuration(bc, n, None)
+def ring_configuration(values, theta, n=1):
+    """The extended grid of radius n with angles theta * values on R' (the
+    ring minus its corners), in ring order, and zeros elsewhere."""
+    cfg = SpinConfiguration(n, np.zeros((2 * n + 3, 2 * n + 3)))
+    ring = [p for p in layer_sites(n + 1) if abs(p[0]) != abs(p[1])]
+    for (x, y), v in zip(ring, values):
+        cfg.grid[x + n + 1, y + n + 1] = wrap_angle(theta * v)
+    return cfg
+
+
+def assert_finite_energy(cfg, bc, n):
+    """`cfg` is a grid of radius n with no bond over the cutoff that keeps
+    each ring value inside its arc."""
+    ref = initial_configuration(bc, n, None)
     half = bc.delta if bc.kind == "smeared" else 0.0
-    assert len(point) == (2 * n + 1) ** 2 + 8 * n + 4
-    for (x, y), v in point.items():
-        if max(abs(x), abs(y)) > n:
-            assert circle_dist(v - cfg.at((x, y))) <= half + 1e-12
-        cfg.grid[x + n + 1, y + n + 1] = v
+    assert cfg.n == n and cfg.grid.shape == ref.grid.shape
+    ring = sup_grid(n + 1) == n + 1
+    assert np.all(circle_dist(cfg.grid[ring] - ref.grid[ring]) <= half + 1e-12)
     assert hardcore_violations(cfg, aizenman(THETA12), bc) == 0
 
 
@@ -392,28 +400,25 @@ class TestFeasibility:
         assert cert.verdict == "feasible"
         # the witness is the lower envelope: minus theta times the
         # distance to the ring
-        assert cert.witness[(0, 0)] == pytest.approx(-5 * THETA12)
-        assert cert.witness[(4, -2)] == pytest.approx(-THETA12)
-        assert cert.witness[(5, -2)] == 0.0
+        assert cert.witness.at((0, 0)) == pytest.approx(-5 * THETA12)
+        assert cert.witness.at((4, -2)) == pytest.approx(-THETA12)
+        assert cert.witness.at((5, -2)) == 0.0
 
     def test_sigma_one_uniquely_rigid(self):
         bc = staircase_bc(12, 1)
         cert = feasibility(bc, THETA12, 6)
         assert cert.verdict == "uniquely-rigid"
-        for site, angle in cert.witness.items():
-            want = float(staircase_angle(bc, site[1]))
-            assert abs(math.remainder(angle - want, 2 * math.pi)) < 1e-9
-        point = feasible_point(cert, THETA12, 6, np.random.default_rng(1))
-        assert point.keys() == cert.witness.keys()
-        for site, angle in point.items():
-            assert abs(math.remainder(angle - cert.witness[site], 2 * math.pi)) < 1e-9
+        stair = initial_configuration(bc, 6, None).grid
+        assert np.all(circle_dist(cert.witness.grid - stair) < 1e-9)
+        point = feasible_point(cert, THETA12, np.random.default_rng(1))
+        assert np.all(circle_dist(point.grid - cert.witness.grid) < 1e-9)
 
     def test_sigma_two_infeasible(self):
         # the sigma = 2 staircase climbs 4 theta between (1, 2) and (1, -2),
         # which lie at graph distance 4, so it has no finite-energy filling
         cert = feasibility(staircase_bc(12, 2), THETA12, 4)
         assert cert.verdict == "infeasible"
-        assert feasible_point(cert, THETA12, 4, np.random.default_rng(0)) is None
+        assert feasible_point(cert, THETA12, np.random.default_rng(0)) is None
 
     @pytest.mark.parametrize("bc, n", [
         (fixed_bc(1.0), 2), (staircase_bc(12, 0), 4), (staircase_bc(12, 1), 6),
@@ -424,7 +429,7 @@ class TestFeasibility:
         assert_finite_energy(cert.witness, bc, n)
         rng = np.random.default_rng(2)
         for _ in range(3):
-            assert_finite_energy(feasible_point(cert, THETA12, n, rng), bc, n)
+            assert_finite_energy(feasible_point(cert, THETA12, rng), bc, n)
 
     def test_smeared_search_finds_valid_point(self):
         bc = smeared_bc(12, delta=0.05, sigma=1)
@@ -433,7 +438,7 @@ class TestFeasibility:
         assert_finite_energy(cert.witness, bc, 3)
         rng = np.random.default_rng(2)
         for _ in range(3):
-            assert_finite_energy(feasible_point(cert, THETA12, 3, rng), bc, 3)
+            assert_finite_energy(feasible_point(cert, THETA12, rng), bc, 3)
 
     def test_smearing_widens_the_arcs(self):
         # at n = 0 the sigma = 2 ring values 2 theta and -2 theta sit at
@@ -455,7 +460,7 @@ class TestFeasibility:
         values = np.arange(12) * 7 // 12
         theta = 2 * math.pi / 7
         assert not brute_force_feasible(values, 7, 0)
-        cert = sampler._certify(wrap_angle(theta * values), 0.0, theta, 1)
+        cert = sampler._certify(ring_configuration(values, theta), 0.0, theta)
         assert cert.verdict == "infeasible"
 
     @pytest.mark.parametrize("k, j", [(7, 0), (9, 0), (12, 0), (12, 1)])
@@ -470,7 +475,7 @@ class TestFeasibility:
                 values = rng.integers(0, k, 12)
             else:
                 values = (rng.integers(0, k) + np.cumsum(rng.integers(-2, 3, 12))) % k
-            cert = sampler._certify(wrap_angle(theta * values), j * theta, theta, 1)
+            cert = sampler._certify(ring_configuration(values, theta), j * theta, theta)
             assert (cert.verdict != "infeasible") == brute_force_feasible(values, k, j), values
             verdicts.add(cert.verdict)
         assert {"feasible", "infeasible"} <= verdicts
