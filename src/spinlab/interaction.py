@@ -24,13 +24,28 @@ def wrap_angle(phi):
     For phi = nextafter(-pi, -inf), phi + pi is about -4.4e-16 and np.mod
     rounds its sum with 2 pi up to 2 pi, so the result is +pi; wrapping
     that again gives -pi.  |phi| is pi either way.
+
+    The value is np.mod(phi + pi, 2 pi) - pi, computed as numpy's float mod
+    computes it but without the floor division it also makes: r = fmod(y,
+    2 pi) for y = phi + pi, plus 2 pi where r < 0, then minus pi.  fmod is
+    exact, so every float64 input, +-0, +-inf and NaN included, gives the
+    bits of the np.mod form.  (Where r is -0, adding +0 makes it +0, as mod
+    does; -pi follows either way.)  Scalars and other dtypes take the np.mod
+    form itself.  The input is never changed.
     """
-    return np.mod(np.asarray(phi) + math.pi, TWO_PI) - math.pi
+    y = np.asarray(phi) + math.pi
+    if y.ndim == 0 or y.dtype != np.float64:
+        return np.mod(y, TWO_PI) - math.pi
+    np.fmod(y, TWO_PI, out=y)
+    y += (y < 0) * TWO_PI
+    y -= math.pi
+    return y
 
 
 def circle_dist(phi):
     """Distance to 0 on the circle, in [0, pi]."""
-    return np.abs(wrap_angle(phi))
+    w = wrap_angle(phi)
+    return np.abs(w, out=w) if isinstance(w, np.ndarray) else np.abs(w)
 
 
 @dataclass(frozen=True)

@@ -143,18 +143,28 @@ def logcorr_kernel(p: int = 2, radius: int = DEFAULT_RADIUS,
 
 
 def kernel_preset(spec: str, radius: int = DEFAULT_RADIUS) -> CouplingKernel:
-    """Preset parser: nn, powerlaw(s), logcorr(p), logcorr_eps(p, eps)."""
+    """Preset parser: nn, powerlaw(s), logcorr(p), logcorr_eps(p, eps).
+
+    A kernel whose mass at this radius is not positive and finite, as
+    `normalize` needs, is refused too.
+    """
     spec = spec.strip()
-    if spec == "nn":
-        return nn_kernel()
-    if spec.startswith("powerlaw(") and spec.endswith(")"):
-        return powerlaw_kernel(_finite(spec[9:-1]), radius)
-    if spec.startswith("logcorr(") and spec.endswith(")"):
-        return logcorr_kernel(int(spec[8:-1]), radius)
-    if spec.startswith("logcorr_eps(") and spec.endswith(")"):
-        p, eps = spec[12:-1].split(",")
-        return logcorr_kernel(int(p), radius, last_exponent=1.0 + _finite(eps))
-    raise ValueError(f"unknown kernel preset: {spec}")
+    with np.errstate(over="ignore"):
+        if spec == "nn":
+            kernel = nn_kernel()
+        elif spec.startswith("powerlaw(") and spec.endswith(")"):
+            kernel = powerlaw_kernel(_finite(spec[9:-1]), radius)
+        elif spec.startswith("logcorr(") and spec.endswith(")"):
+            kernel = logcorr_kernel(int(spec[8:-1]), radius)
+        elif spec.startswith("logcorr_eps(") and spec.endswith(")"):
+            p, eps = spec[12:-1].split(",")
+            kernel = logcorr_kernel(int(p), radius, last_exponent=1.0 + _finite(eps))
+        else:
+            raise ValueError(f"unknown kernel preset: {spec}")
+        mass = kernel.total()
+    if not 0 < mass < math.inf:
+        raise ValueError(f"kernel preset {spec!r} has mass {mass} at radius {radius}")
+    return kernel
 
 
 def _finite(text: str) -> float:

@@ -5,8 +5,9 @@ symmetry-breaking experiments.
 Single-site proposals (wrapped Gaussian plus occasional uniform refresh) on a
 checkerboard; hard-core potentials are handled by rejecting any proposal of
 infinite energy.  Every potential with a Fourier form, hard core and ring
-arcs included, is swept from per-mode local fields; only potentials without
-one (`absval`, `logsing`) call the potential on each neighbour difference.
+arcs included, is swept from per-mode local fields, whose modes each chain
+keeps between sweeps; only potentials without one (`absval`, `logsing`) call
+the potential on each neighbour difference.
 The smeared staircase state treats the boundary ring as arc-constrained
 sampling sites, which integrates the boundary smearing and the interior
 Gibbs weight jointly; boundary draws whose conditional measure would vanish
@@ -159,11 +160,22 @@ def accept_probability(delta_e) -> np.ndarray:
 
 
 class _Stencil:
-    """Flat-index update phases (sites, neighbours, present) for one (n, bc)
+    """The sweep state of one chain.
+
+    Flat-index update phases (sites, neighbours, present) for one (n, bc)
     pair: two interior checkerboard colors and, for a smeared bc, the
     boundary ring, with the staircase values there as `ring_centres`.  The
     neighbours are the steps (+1, 0), (-1, 0), (0, +1), (0, -1); an absent
-    one points one past the grid, where the local-field sweep keeps zeros."""
+    one points one past the grid, where `modes` keeps zeros.
+
+    The local-field sweep keeps two things here between sweeps: `modes`,
+    e^{is phi} of the grid for s = 1..degree (set on its first sweep and
+    updated where moves land), and `finite`, whether every counted bond
+    reads unbroken from each of its sampled ends, so that a hard core need
+    test only the proposal.  Both describe one grid, so each chain builds its
+    own stencil, and a change to the grid made outside the sweeps is followed
+    by `refresh`.
+    """
 
     def __init__(self, n: int, bc: BoundaryCondition):
         s = 2 * n + 3
@@ -185,6 +197,21 @@ class _Stencil:
             idx, present = np.flatnonzero(mask), bonds[:, mask]
             self.phases.append((idx, np.where(present, idx + step, s * s), present))
         self.n_sites = sum(len(idx) for idx, _, _ in self.phases)
+        self.modes = None
+        self.finite = False
+
+    def refresh(self, grid: np.ndarray):
+        """Recompute the kept state after `grid` changed outside the sweeps."""
+        self.finite = False
+        if self.modes is not None:
+            self.modes[:, :-1] = _modes(len(self.modes), grid.ravel())
+
+
+# A move whose proposal lies this close to the cutoff may read as broken
+# from the other end of a bond: the two ends wrap phi and -phi, which can
+# differ by a few ulps of pi.  Such a move ends the skipping of the
+# current-angle test until a sweep shows the grid unbroken again.
+_NEAR_CUTOFF = 1e-9
 
 
 def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
@@ -209,10 +236,9 @@ def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
     for p, (idx, nbr, present) in enumerate(stencil.phases):
         cur = flat[idx]
         prop = _propose(cur, width, rng)
-        nbrv = flat.take(nbr, mode="clip")
+        diff = np.stack([cur, prop])[:, None, :] - flat.take(nbr, mode="clip")
         with np.errstate(invalid="ignore"):
-            e_old = np.where(present, pot(cur[None, :] - nbrv), 0.0).sum(axis=0)
-            e_new = np.where(present, pot(prop[None, :] - nbrv), 0.0).sum(axis=0)
+            e_old, e_new = np.where(present, pot(diff), 0.0).sum(axis=1)
             ok = np.log(rng.random(len(idx))) < -(e_new - e_old)
         ok &= np.isfinite(e_new)
         if p == stencil.ring_phase:
@@ -225,13 +251,21 @@ def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
 def _propose(cur, width, rng) -> np.ndarray:
     """Wrapped Gaussian steps, each replaced by a uniform refresh with
     probability 0.1."""
-    step = width * rng.standard_normal(len(cur))
-    prop = wrap_angle(cur + step)
+    step = rng.standard_normal(len(cur))
+    step *= width
+    step += cur
+    prop = wrap_angle(step)
     refresh = rng.random(len(cur)) < 0.1
     k = np.count_nonzero(refresh)
     if k:
         prop[refresh] = rng.uniform(-math.pi, math.pi, k)
     return prop
+
+
+def _modes(degree: int, phi) -> np.ndarray:
+    """e^{i s phi} for s = 1..degree, one row per s."""
+    z = 1j * np.arange(1, degree + 1)[:, None] * phi
+    return np.exp(z, out=z)
 
 
 def _local_field_sweep(cfg, pot, bc, width, rng, stencil) -> int:
@@ -241,33 +275,51 @@ def _local_field_sweep(cfg, pot, bc, width, rng, stencil) -> int:
     With the field Z_s = sum_j w_j e^{i s phi_j} of the neighbours,
     sum_j w_j U(x - phi_j) = c0 sum_j w_j + sum_s Re((a_s - i b_s) e^{isx} Z_s^*),
     so dE needs e^{isx} only at the current and the proposed angle.  The
-    modes e^{is phi} of the grid are computed once per sweep and updated
-    where moves are accepted, so each phase sees the moves of the ones before.
-    A hard core is tested on the neighbour differences of the proposed and
-    the current angle with the arithmetic of `PairPotential.__call__`, so
-    it rejects and, from an infinite-energy site, accepts what the generic
-    sweep does.
+    chain keeps the modes e^{is phi} of its grid in `stencil.modes` and
+    updates them where moves are accepted, so each phase sees the moves of
+    the ones before.  A hard core is tested on the neighbour differences of
+    the proposed and the current angle with the arithmetic of
+    `PairPotential.__call__`, so it rejects and, from an infinite-energy
+    site, accepts what the generic sweep does.  While `stencil.finite` holds,
+    no current angle breaks a bond, and only the proposal is tested.
     """
     poly = pot.fourier
-    modes = 1j * np.arange(1, poly.degree + 1)[:, None]
     coef = (poly.cos_coeffs - 1j * poly.sin_coeffs)[:, None]
     flat = cfg.grid.ravel()
-    e = np.zeros((poly.degree, flat.size + 1), dtype=complex)  # last: absent
-    e[:, :-1] = np.exp(modes * flat)
+    if stencil.modes is None:  # the last column stands for absent neighbours
+        stencil.modes = np.zeros((poly.degree, flat.size + 1), dtype=complex)
+        stencil.refresh(cfg.grid)
+    e = stencil.modes
+    # finite: no current angle breaks a bond; clean: nor will the grid after
+    # this sweep, as far as this sweep's tests show
+    finite, clean = stencil.finite, True
     accepted = 0
     for p, (idx, nbr, present) in enumerate(stencil.phases):
         cur = flat.take(idx)
         prop = _propose(cur, width, rng)
-        e_prop = np.exp(modes * prop)
-        field = coef * e.take(nbr, axis=1).sum(axis=1).conj()
-        de = ((e_prop - e.take(idx, axis=1)) * field).real.sum(axis=0)
-        ok = np.log(rng.random(len(idx))) < -de
+        e_prop = _modes(poly.degree, prop)
+        field = e.take(nbr, axis=1).sum(axis=1)
+        np.conjugate(field, out=field)
+        np.multiply(coef, field, out=field)
+        de = e.take(idx, axis=1)
+        np.subtract(e_prop, de, out=de)
+        de *= field
+        de = de.real.sum(axis=0)
+        ok = np.log(rng.random(len(idx))) < np.negative(de, out=de)
         if pot.cutoff is not None:
-            # rows: the proposal, then the current angle, breaks a present bond
-            broken = ((circle_dist(np.stack([prop, cur])[:, None, :]
-                                   - flat.take(nbr, mode="clip"))
-                       > pot.cutoff) & present).any(axis=1)
-            ok = (ok | broken[1]) & ~broken[0]
+            # rows: the proposal, then the current angle; the farthest
+            # present neighbour of each
+            rows = prop[None, :] if finite else np.stack([prop, cur])
+            dist = circle_dist(rows[:, None, :] - flat.take(nbr, mode="clip"))
+            dist *= present
+            dist = dist.max(axis=1)
+            if not finite:
+                broken = dist[1] > pot.cutoff
+                clean &= not broken.any()
+                ok |= broken
+            ok &= ~(dist[0] > pot.cutoff)
+            if np.any(ok & (dist[0] > pot.cutoff - _NEAR_CUTOFF)):
+                finite = clean = False
         if p == stencil.ring_phase:
             ok &= circle_dist(prop - stencil.ring_centres) <= bc.delta
         ok = np.flatnonzero(ok)
@@ -275,6 +327,7 @@ def _local_field_sweep(cfg, pot, bc, width, rng, stencil) -> int:
         flat[moved] = prop.take(ok)
         e[:, moved] = e_prop.take(ok, axis=1)
         accepted += len(ok)
+    stencil.finite = clean
     return accepted
 
 
@@ -341,6 +394,7 @@ def run_chain(pot: PairPotential, bc: BoundaryCondition, n: int, sweeps: int,
         if bc.kind == "free":
             cfg.grid[1:-1, 1:-1] = wrap_angle(
                 cfg.grid[1:-1, 1:-1] + rng.uniform(-math.pi, math.pi))
+            stencil.refresh(cfg.grid)
         if t >= 0:
             accepted += acc
             for name, f in observables.items():

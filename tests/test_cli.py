@@ -297,6 +297,9 @@ radius = 128
         ("layers", "potential", "xy(inf)"),
         ("recurrence", "kernel", "powerlaw(nan)"),
         ("entropy", "kernel", "logcorr_eps(2, nan)"),
+        ("recurrence", "kernel", "powerlaw(-1e308)"),
+        ("recurrence", "kernel", "logcorr_eps(2, 1e308)"),
+        ("spinwave", "kernel", "logcorr_eps(2, -1e308)"),
     ])
     def test_bad_preset_is_config_error(self, tmp_path, capsys, name, key, spec):
         p = write_config(tmp_path / "c.ini", "[experiment]\nname = %s\nout = %s\n\n"

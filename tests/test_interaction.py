@@ -81,6 +81,37 @@ class TestPotentials:
         assert wrap_angle(BELOW_MINUS_PI) == math.pi
         assert wrap_angle(wrap_angle(BELOW_MINUS_PI)) == -math.pi
 
+    @staticmethod
+    def _mod_wrap(phi):
+        return np.mod(np.asarray(phi) + math.pi, 2 * math.pi) - math.pi
+
+    def test_wrap_angle_is_bitwise_the_mod_form(self):
+        turns = 2 * math.pi * np.arange(-50.0, 51.0)
+        x = np.concatenate([
+            [0.0, -0.0, math.pi, -math.pi, BELOW_MINUS_PI, np.inf, -np.inf, np.nan],
+            turns, np.nextafter(turns, np.inf), np.nextafter(turns, -np.inf),
+            (np.geomspace(1e-300, 1e300, 601)[:, None] * [1, -1]).ravel(),
+            self._angles(),
+        ])
+        kept = x.copy()
+        with np.errstate(invalid="ignore"):
+            got, expected = wrap_angle(x), self._mod_wrap(x)
+        assert np.array_equal(self._bits(got), self._bits(expected))
+        assert np.array_equal(self._bits(x), self._bits(kept))  # input unchanged
+
+    @pytest.mark.parametrize("phi", [
+        -0.0, BELOW_MINUS_PI, 7 * math.pi, np.array(-math.pi), np.array(1e300),
+        np.arange(-9, 10), np.linspace(-20, 20, 64)[::3],
+        np.linspace(-20, 20, 64).reshape(8, 8).T, np.linspace(-20, 20, 64)[::-1]],
+        ids=["float-0", "float-below-pi", "float-7pi", "0d-pi", "0d-huge", "int",
+             "strided", "transposed", "reversed"])
+    def test_wrap_angle_forms_of_input(self, phi):
+        kept = np.array(phi, copy=True)
+        got = wrap_angle(phi)
+        assert np.shape(got) == np.shape(phi)
+        assert np.array_equal(self._bits(got), self._bits(self._mod_wrap(phi)))
+        assert np.array_equal(np.asarray(phi), kept)
+
     @pytest.mark.parametrize("make", [absval, logsing, lambda: aizenman(0.5)],
                              ids=["absval", "logsing", "aizenman"])
     def test_one_wrap_matches_two(self, make):

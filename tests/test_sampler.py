@@ -217,6 +217,50 @@ class TestLocalFieldSweep:
         assert counts == generic_counts
         assert np.array_equal(grid, generic_grid)
 
+    @pytest.mark.parametrize("pot, bc", [
+        (POTENTIALS[2], fixed_bc(0.3)),
+        (POTENTIALS[2], free_bc()),
+        (aizenman(THETA12), free_bc()),
+        (aizenman(THETA12), staircase_bc(16, 1)),
+        (aizenman(THETA12), smeared_bc(12, 0.05, 1)),
+    ], ids=["fixed", "free", "hard-free", "hard-staircase", "hard-smeared"])
+    def test_sweep_state_matches_the_grid(self, pot, bc, monkeypatch):
+        # what the chain keeps between sweeps is what a fresh look at its
+        # grid gives, after the free bc's global rotations too
+        seen = []
+        sweep = sampler.metropolis_sweep
+
+        def spy(*args):
+            seen.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(sampler, "metropolis_sweep", spy)
+        run_chain(pot, bc, 6, 100, seed=4)
+        cfg, stencil = seen[-1][0], seen[-1][5]
+        assert all(args[5] is stencil for args in seen)
+        s = np.arange(1, pot.fourier.degree + 1)[:, None]
+        modes = np.exp(1j * s * cfg.grid.ravel())
+        assert np.array_equal(stencil.modes[:, :-1].view(np.uint64), modes.view(np.uint64))
+        assert np.array_equal(stencil.modes[:, -1], np.zeros(len(s)))
+        # a hard core skips the current angle only while no sampled end of a
+        # counted bond reads it as broken; a free bc's rotation ends that
+        assert stencil.finite == (bc.kind != "free")
+        flat = cfg.grid.ravel()
+        for idx, nbr, present in stencil.phases:
+            if pot.is_hard_core and stencil.finite:
+                dist = circle_dist(flat[idx] - flat.take(nbr, mode="clip"))
+                assert not np.any((dist > pot.cutoff) & present)
+
+    def test_bond_ends_read_the_cutoff_alike_within_the_margin(self):
+        # the two ends of a bond wrap phi and -phi; near the cutoff they may
+        # disagree by roundoff, never by as much as the margin of the sweep
+        rng = np.random.default_rng(6)
+        a = rng.uniform(-math.pi, math.pi, 200_000)
+        b = wrap_angle(a + rng.choice([-1, 1], a.size) * THETA12
+                       + rng.uniform(-1e-15, 1e-15, a.size))
+        gap = np.abs(circle_dist(a - b) - circle_dist(b - a))
+        assert 0 < gap.max() < sampler._NEAR_CUTOFF
+
 
 class TestOneSpinBox:
     """n = 0: one spin with four fixed neighbours at angles a_j, so its law
