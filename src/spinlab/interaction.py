@@ -30,11 +30,11 @@ def wrap_angle(phi):
     2 pi) for y = phi + pi, plus 2 pi where r < 0, then minus pi.  fmod is
     exact, so every float64 input, +-0, +-inf and NaN included, gives the
     bits of the np.mod form.  (Where r is -0, adding +0 makes it +0, as mod
-    does; -pi follows either way.)  Scalars and other dtypes take the np.mod
-    form itself.  The input is never changed.
+    does; -pi follows either way.)  Scalars take the np.mod form itself.
+    The input is never changed.
     """
     y = np.asarray(phi) + math.pi
-    if y.ndim == 0 or y.dtype != np.float64:
+    if y.ndim == 0:
         return np.mod(y, TWO_PI) - math.pi
     np.fmod(y, TWO_PI, out=y)
     y += (y < 0) * TWO_PI

@@ -217,6 +217,67 @@ class TestLocalFieldSweep:
         assert counts == generic_counts
         assert np.array_equal(grid, generic_grid)
 
+    def test_roundoff_past_the_cutoff_counts_as_broken(self, monkeypatch):
+        # 1e-13 past the cutoff is no violation to hardcore_violations, but
+        # the sweep reads the bond as broken, as the generic path does, and
+        # accepts any finite move of its end.  Under +cos such a move into
+        # the cutoff costs energy, so a sweep that skipped that read would
+        # reject some of them.
+        poly = TrigPolynomial(0.0, np.array([1.0]), np.array([0.0]))
+        pot = PairPotential("anti", poly, cutoff=THETA12, fourier=poly)
+        bc = fixed_bc(0.0)
+        init = initial_configuration(bc, 6, None)
+        init.interior()[:] = THETA12 + 1e-13
+        assert hardcore_violations(init, pot, bc) == 0
+        counts, grid = self._chain(pot, bc, monkeypatch, init)
+        generic = dataclasses.replace(pot, fourier=None)
+        generic_counts, generic_grid = self._chain(generic, bc, monkeypatch, init)
+        assert counts == generic_counts
+        assert np.array_equal(grid, generic_grid)
+
+    class _Scripted:
+        """A generator stand-in that hands out the given draws in order."""
+
+        def __init__(self, draws):
+            self.draws = [np.array(d, dtype=float) for d in draws]
+
+        def standard_normal(self, size):
+            return self.random(size)
+
+        def random(self, size):
+            out = self.draws.pop(0)
+            assert len(out) == size
+            return out
+
+    def test_move_to_the_edge_of_the_cutoff_ends_the_skipping(self):
+        # The box of radius 1 and its ring sit at -pi, the neighbour j = (1, 0)
+        # of the centre i at a.  The centre's proposal p reads the bond as
+        # unbroken, p - a, while j reads it as broken by roundoff, a - p (see
+        # the margin test).  So after the move the sweep must test j's
+        # current angle again, and accept j's costlier finite proposal as the
+        # generic path does.
+        p_step, a = 6.1497779658666385, -2.7514012193044417
+        p = float(wrap_angle(np.array([-math.pi + p_step]))[0])
+        assert circle_dist(p - a) <= THETA12 < circle_dist(a - p)
+        poly = TrigPolynomial(0.0, np.array([1.0]), np.array([0.0]))
+        pot = PairPotential("anti", poly, cutoff=THETA12, fourier=poly)
+        bc = fixed_bc(-math.pi)
+        half, keep = [0.5] * 5, [0.5] * 4
+        draws = [[0.0] * 5, half, half, [0.0] * 4, keep, keep,  # first sweep
+                 [0, 0, p_step, 0, 0], half, [0.5, 0.5, 1e-300, 0.5, 0.5],
+                 [0, 0, 0, -0.1], keep, [0.5, 0.5, 0.5, np.nextafter(1.0, 0.0)]]
+        grids = []
+        for path in (pot, dataclasses.replace(pot, fourier=None)):
+            cfg = initial_configuration(bc, 1, None)
+            cfg.grid[3, 2] = a
+            stencil, rng = sampler._Stencil(1, bc), self._Scripted(draws)
+            for _ in range(2):
+                sampler.metropolis_sweep(cfg, path, bc, 1.0, rng, stencil)
+            grids.append(cfg.grid)
+        assert grids[0][2, 2] == p
+        assert grids[0][3, 2] == float(wrap_angle(np.array([a - 0.1]))[0])
+        assert np.array_equal(grids[0], grids[1])
+
     @pytest.mark.parametrize("pot, bc", [
         (POTENTIALS[2], fixed_bc(0.3)),
         (POTENTIALS[2], free_bc()),
