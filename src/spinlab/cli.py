@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import json
 import math
 import os
@@ -136,6 +137,12 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
         if pred is not None and not pred(val):
             errors.append(f"{name}.{key}: {hint} (got {val})")
         params[key] = val
+    if not errors and "radius" in params:
+        from .longrange_walk import kernel_preset
+        try:  # the schema checked the kernel at the default radius
+            kernel_preset(params["kernel"], params["radius"])
+        except ValueError as exc:
+            errors.append(f"{name}.kernel: {exc}")
     if errors:
         raise ConfigError(errors)
     if seed_override is not None:
@@ -235,10 +242,10 @@ def _run_spinwave(p, seed):
         iterations.append(wave.iterations)
         rows.append([n, p["inner"], p["psi"], e, wave.residual])
     n, m = wave.n, wave.margin
-    xs, ys = np.indices((2 * n + 1, 2 * n + 1)) - n
     box = wave.values[m - n:m + n + 1, m - n:m + n + 1]
-    field_rows = list(zip(xs.ravel().tolist(), ys.ravel().tolist(),
-                          box.ravel().tolist()))
+    # row by row as the table is written, never the whole field as tuples
+    field_rows = ((x1, x2, v) for x1, row in enumerate(box, -n)
+                  for x2, v in enumerate(row.tolist(), -n))
     tables = {
         "spinwave.csv": (["n", "inner", "psi", "energy", "residual"], rows),
         "field.csv": (["x1", "x2", "value"], field_rows),
@@ -371,11 +378,12 @@ def _atomic_write(path: str, text: str):
 
 
 def _write_table(path: str, header, rows, cfg: ExperimentConfig):
-    lines = [",".join(header + ["experiment", "config_hash", "seed"])]
-    tail = [cfg.name, cfg.hash, str(cfg.seed)]
+    tail = f",{cfg.name},{cfg.hash},{cfg.seed}\n"
+    buf = io.StringIO()
+    buf.write(",".join(header + ["experiment", "config_hash", "seed"]) + "\n")
     for row in rows:
-        lines.append(",".join([_fmt(v) for v in row] + tail))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        buf.write(",".join(map(_fmt, row)) + tail)
+    _atomic_write(path, buf.getvalue())
 
 
 def run(cfg: ExperimentConfig) -> dict:

@@ -13,6 +13,9 @@ The quadrature of I(rho) takes phi from two exact shortcuts:
   theta_k = -pi + 2 pi (k + 1/2) / N of each axis, e^{i theta_k x} is
   e^{2 pi i k x / N} times a phase in x alone, so phi on the whole N x N grid
   is one 2-D FFT of the phased kernel folded mod N, for any kernel radius.
+  A kernel uniform on sup-norm rings is a sum of box indicators, and each box
+  folds to an outer product of two box sums, so its fold never builds the
+  (2R + 1)^2 kernel grid.
 - Annulus (`_annulus_integral`): the polar angles 2 pi (k + 1/2) / 96 split
   into 12 orbits of 8 under the symmetries of the square, none of them on a
   mirror axis.  For a kernel invariant under those symmetries
@@ -228,21 +231,41 @@ class WalkKernel:
         With alpha = pi (1/n_grid - 1), theta_k x = 2 pi k x / n_grid + alpha x,
         so the grid is the inverse 2-D DFT of j(x) e^{i alpha (x1 + x2)} folded
         mod n_grid.  The fold is exact for any radius: writing
-        x = m + q n_grid, e^{i alpha x} = e^{i alpha m} (-1)^{(n_grid - 1) q}.
+        x = m + q n_grid, e^{i alpha x} = e^{i alpha m} (-1)^{(n_grid - 1) q},
+        so the folded kernel is F G F^T with F[m, x] = (-1)^{(n_grid - 1) q}.
+
+        A ring kernel j(x) = rho_{||x||_inf} (rho_0 = rho_{R+1} = 0) is the
+        box sum j(x) = sum_s c_s 1[|x1| <= s] 1[|x2| <= s] with
+        c_s = rho_s - rho_{s+1}, so F G F^T = (B c) B^T, where column s of B
+        sums the columns of F over |x| <= s: a cumulative sum outward from
+        x = 0.  Explicit kernels fold their dense grid.
         """
         r = self.radius
         x = np.arange(-r, r + 1)
         q, m = np.divmod(x, n_grid)
-        fold = np.zeros((n_grid, x.size))
-        fold[m, np.arange(x.size)] = np.where((n_grid - 1) * q % 2, -1.0, 1.0)
-        folded = fold @ self.grid_values() @ fold.T
+        sign = np.where((n_grid - 1) * q % 2, -1.0, 1.0)
+        if self.kernel.rings is None:
+            fold = np.zeros((n_grid, x.size))
+            fold[m, np.arange(x.size)] = sign
+            folded = fold @ self.grid_values() @ fold.T
+        else:
+            box = np.zeros((n_grid, r + 1))
+            np.add.at(box, (m, np.abs(x)), sign)  # x and -x share column |x|
+            np.cumsum(box, axis=1, out=box)
+            rho = np.zeros(r + 2)
+            rho[1:-1] = self.kernel.rings[1:]
+            folded = (box * (rho[:-1] - rho[1:])) @ box.T
         phase = np.exp(1j * math.pi * (1.0 / n_grid - 1.0) * np.arange(n_grid))
         return np.fft.ifft2(phase[:, None] * folded * phase, norm="forward").real
 
     @cached_property
     def square_symmetric(self) -> bool:
         """j is exactly invariant under x1 <-> x2 and x1 -> -x1, hence under
-        all eight symmetries of the square, and so is phi."""
+        all eight symmetries of the square, and so is phi.  A ring kernel
+        depends on ||x||_inf alone, so it is symmetric by construction and
+        its grid is not built."""
+        if self.kernel.rings is not None:
+            return True
         g = self.grid_values()
         return bool(np.array_equal(g, g.T) and np.array_equal(g, g[::-1]))
 

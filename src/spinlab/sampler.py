@@ -356,17 +356,23 @@ def batch_means(trace):
 
 
 def tune_width(cfg, pot, bc, rng, stencil) -> float:
+    """Blocks of 10 sweeps, each scaling the width toward an acceptance rate
+    in [0.3, 0.6], until a block leaves the width as it is: in range, or
+    pinned at the floor 1e-3 or the ceiling pi."""
     width = 0.5
     for _ in range(25):
         acc = sum(metropolis_sweep(cfg, pot, bc, width, rng, stencil)
                   for _ in range(10))
         rate = acc / (10 * stencil.n_sites)
         if rate < 0.3:
-            width = max(width * 0.7, 1e-3)
+            new = max(width * 0.7, 1e-3)
         elif rate > 0.6:
-            width = min(width * 1.4, math.pi)
+            new = min(width * 1.4, math.pi)
         else:
             break
+        if new == width:
+            break
+        width = new
     return width
 
 
@@ -378,7 +384,8 @@ def run_chain(pot: PairPotential, bc: BoundaryCondition, n: int, sweeps: int,
 
     Free boundary conditions get an extra global-rotation move per sweep
     (energy-invariant, so always accepted) to average exactly over the
-    symmetry orbit.
+    symmetry orbit.  `callback(cfg, stencil)` runs after each recorded sweep,
+    with the chain's sweep state.
     """
     rng = np.random.default_rng(seed)
     stencil = _Stencil(n, bc)
@@ -400,7 +407,7 @@ def run_chain(pot: PairPotential, bc: BoundaryCondition, n: int, sweeps: int,
             for name, f in observables.items():
                 traces[name].append(f(cfg))
             if callback is not None:
-                callback(cfg)
+                callback(cfg, stencil)
     traces = {k: np.asarray(v) for k, v in traces.items()}
     errors = {k: batch_means(v) for k, v in traces.items()}
     return ChainStats(accepted / (sweeps * stencil.n_sites), traces, errors, width)
@@ -620,9 +627,10 @@ def sample_state(pot: PairPotential, bc: BoundaryCondition, n: int,
     acc = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
     violations = [0]
 
-    def collect(cfg):  # once per recorded sweep
+    def collect(cfg, stencil):  # once per recorded sweep
         acc[:, :] += np.exp(1j * cfg.interior())
-        violations[0] += hardcore_violations(cfg, pot, bc)
+        if not stencil.finite:  # a finite sweep state has no violation
+            violations[0] += hardcore_violations(cfg, pot, bc)
 
     obs = {
         "cos0": cos_at((0, 0)),

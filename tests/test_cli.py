@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from spinlab.cli import (EXPERIMENTS, ConfigError, _int_list, load_config, main, run,
-                         verify)
+from spinlab import cli
+from spinlab.cli import (EXPERIMENTS, ConfigError, _fmt, _int_list, load_config, main,
+                         run, verify)
 
 # the smallest config of each experiment that still exercises its runner
 TINY = {
@@ -25,6 +26,14 @@ TINY = {
 def write_config(path, body):
     path.write_text(body)
     return str(path)
+
+
+def _list_join(header, rows, cfg):
+    # a table as one list of line strings, joined
+    tail = [cfg.name, cfg.hash, str(cfg.seed)]
+    lines = [",".join(header + ["experiment", "config_hash", "seed"])]
+    lines += [",".join([_fmt(v) for v in row] + tail) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class TestConfig:
@@ -262,6 +271,41 @@ sweeps = 100
         assert "magnetization.csv" not in leftovers
         assert "summary.json" not in leftovers
 
+    def test_every_output_written_once_in_full(self, tmp_path, monkeypatch):
+        # output bytes are counted from the text `_atomic_write` is handed,
+        # so every file goes through it once, whole
+        calls = []
+        write = cli._atomic_write
+
+        def spy(path, text):
+            calls.append((path, text))
+            write(path, text)
+
+        monkeypatch.setattr(cli, "_atomic_write", spy)
+        out = tmp_path / "out"
+        cfg = load_config(write_config(tmp_path / "c.ini", """
+[experiment]
+name = spinwave
+seed = 4
+out = %s
+
+[spinwave]
+ns = 6,8
+""" % out))
+        manifest = run(cfg)
+        paths = [e["path"] for e in manifest["outputs"]] + [str(out / "manifest.json")]
+        assert sorted(path for path, _ in calls) == sorted(paths)
+        for path, text in calls:
+            with open(path, "rb") as f:
+                assert f.read() == text.encode()
+        # the field table of ints, floats and the string tail keeps the
+        # bytes of a list join of its lines
+        header, rows = EXPERIMENTS["spinwave"].run(cfg.params, cfg.seed)[0]["field.csv"]
+        assert (out / "field.csv").read_text() == _list_join(header, rows, cfg)
+        mixed = [[1, 0.1, "a"], [-2, 1e-20, ""], [3, float("nan"), "c"]]
+        cli._write_table(str(tmp_path / "mixed.csv"), ["i", "f", "s"], iter(mixed), cfg)
+        assert (tmp_path / "mixed.csv").read_text() == _list_join(["i", "f", "s"], mixed, cfg)
+
 
 class TestMain:
     def test_run_and_verify_roundtrip(self, tmp_path):
@@ -306,6 +350,18 @@ radius = 128
                          "[%s]\n%s = %s\n" % (name, tmp_path / "out", name, key, spec))
         assert main(["run", "--config", p]) == 2
         assert f"{name}.{key}: unknown or malformed preset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_kernel_checked_at_the_config_radius(self, tmp_path, capsys):
+        # powerlaw(-110) has finite mass at the default radius 512 and
+        # overflows at 1000
+        body = ("[experiment]\nname = recurrence\nout = %s\n\n[recurrence]\n"
+                "kernel = powerlaw(-110)\nradius = %d\n")
+        load_config(write_config(tmp_path / "ok.ini", body % (tmp_path / "out", 512)))
+        p = write_config(tmp_path / "c.ini", body % (tmp_path / "out", 1000))
+        assert main(["run", "--config", p]) == 2
+        assert ("recurrence.kernel: kernel preset 'powerlaw(-110)' has mass inf "
+                "at radius 1000") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, key", sorted(

@@ -142,6 +142,33 @@ class TestMidpointGrid:
         assert np.max(np.abs(w.midpoint_grid(n_grid) - direct)) < 1e-12
 
 
+def _dense_midpoint_grid(walk, n_grid):
+    # the fold of the whole (2R + 1)^2 kernel grid, F G F^T, then the phases
+    r = walk.radius
+    x = np.arange(-r, r + 1)
+    q, m = np.divmod(x, n_grid)
+    fold = np.zeros((n_grid, x.size))
+    fold[m, np.arange(x.size)] = np.where((n_grid - 1) * q % 2, -1.0, 1.0)
+    folded = fold @ walk.grid_values() @ fold.T
+    phase = np.exp(1j * math.pi * (1.0 / n_grid - 1.0) * np.arange(n_grid))
+    return np.fft.ifft2(phase[:, None] * folded * phase, norm="forward").real
+
+
+class TestRingFold:
+    """Ring kernels fold from box sums; the dense fold is the reference."""
+
+    @pytest.mark.parametrize("spec, radius, n_grid", [
+        ("powerlaw(3.5)", 512, 256), ("logcorr(2)", 512, 256),
+        ("powerlaw(3.0)", 40, 16), ("powerlaw(3.0)", 40, 17),
+        ("powerlaw(1.0)", 5, 16),
+    ])
+    def test_against_dense_fold(self, spec, radius, n_grid):
+        # radius 40 wraps both grids, odd and even; radius 5 does not wrap
+        w = normalize(kernel_preset(spec, radius))
+        dense = _dense_midpoint_grid(w, n_grid)
+        assert np.max(np.abs(w.midpoint_grid(n_grid) - dense)) < 1e-12
+
+
 class TestSquareSymmetry:
     @pytest.mark.parametrize("spec", ["ring", "logcorr", "nn", "y(nn)"])
     def test_symmetric_kernels(self, spec):

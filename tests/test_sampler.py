@@ -8,7 +8,7 @@ from scipy.special import i0, i1
 
 from spinlab import sampler
 from spinlab.interaction import (PairPotential, TrigPolynomial, absval, aizenman,
-                                 circle_dist, decompose, wrap_angle, xy)
+                                 circle_dist, decompose, logsing, wrap_angle, xy)
 from spinlab.lattice import layer_sites, sup_grid
 from spinlab.sampler import (
     SpinConfiguration,
@@ -323,6 +323,33 @@ class TestLocalFieldSweep:
         assert 0 < gap.max() < sampler._NEAR_CUTOFF
 
 
+class TestTuneWidth:
+    @staticmethod
+    def _sweeps(pot, bc, monkeypatch):
+        calls = []
+        sweep = sampler.metropolis_sweep
+
+        def counted(*args):
+            calls.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(sampler, "metropolis_sweep", counted)
+        rng = np.random.default_rng(0)
+        cfg = initial_configuration(bc, 4, rng)
+        width = sampler.tune_width(cfg, pot, bc, rng, sampler._Stencil(4, bc))
+        return len(calls), width
+
+    def test_stops_at_the_ceiling(self, monkeypatch):
+        # every move is accepted: six blocks scale 0.5 up to pi, and the
+        # seventh finds it pinned
+        assert self._sweeps(xy(0.0), free_bc(), monkeypatch) == (70, math.pi)
+
+    def test_stops_at_the_floor(self, monkeypatch):
+        # the clamp well of logsing holds every spin: eighteen blocks scale
+        # 0.5 down to 1e-3, and the nineteenth finds it pinned
+        assert self._sweeps(logsing(), fixed_bc(0.0), monkeypatch) == (190, 1e-3)
+
+
 class TestOneSpinBox:
     """n = 0: one spin with four fixed neighbours at angles a_j, so its law
     is proportional to e^{-sum_j U(phi - a_j)}."""
@@ -601,6 +628,33 @@ class TestAizenmanState:
         assert rep.origin_modulus() < 0.1
         assert rep.violations == 0
 
+    @pytest.mark.parametrize("bc, finite", [
+        (smeared_bc(12, 0.05, 1), True), (staircase_bc(12, 2), False)],
+        ids=["feasible", "infeasible"])
+    def test_violations_counted_off_a_finite_state(self, bc, finite, monkeypatch):
+        # a finite sweep state has no violation, so the count is skipped
+        # there; the total is that of a count after every recorded sweep
+        pot, sweeps = aizenman(THETA12), 100
+        count, chain = sampler.hardcore_violations, sampler.run_chain
+        full, calls = [], []
+
+        def spy_count(*args):
+            calls.append(1)
+            return count(*args)
+
+        def spy_chain(*args, callback, **kwargs):
+            def both(cfg, stencil):
+                full.append(count(cfg, pot, bc))
+                callback(cfg, stencil)
+            return chain(*args, callback=both, **kwargs)
+
+        monkeypatch.setattr(sampler, "hardcore_violations", spy_count)
+        monkeypatch.setattr(sampler, "run_chain", spy_chain)
+        rep = sample_state(pot, bc, 4, sweeps, seed=3)
+        assert rep.violations == sum(full)
+        assert (rep.violations == 0) == finite
+        assert (len(calls) < sweeps) == finite
+
     def test_smeared_chain_samples_its_ring(self):
         # the smeared bc alone makes the chain sample its ring: the sites
         # with an interior neighbour leave the staircase, and no ring site
@@ -614,7 +668,7 @@ class TestAizenmanState:
         moved = np.zeros(ring.shape, dtype=bool)
         worst = []
 
-        def record(cfg):
+        def record(cfg, _stencil):
             off = circle_dist(cfg.grid - stair)
             moved[off > 1e-9] = True
             worst.append(off[ring].max())
