@@ -14,6 +14,7 @@ import argparse
 import configparser
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -139,10 +140,11 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
         params[key] = val
     if not errors and "radius" in params:
         from .longrange_walk import kernel_preset
-        try:  # the schema checked the kernel at the default radius
+        try:  # a kernel with its own radius is checked there alone
             kernel_preset(params["kernel"], params["radius"])
         except ValueError as exc:
-            errors.append(f"{name}.kernel: {exc}")
+            errors += [f"{name}.kernel: {_NOT_PRESET} (got {params['kernel']})",
+                       f"{name}.kernel: {exc}"]
     if errors:
         raise ConfigError(errors)
     if seed_override is not None:
@@ -229,14 +231,15 @@ def _run_recurrence(p, seed):
 
 def _run_spinwave(p, seed):
     from .longrange_walk import kernel_preset, normalize
-    from .spinwave import dirichlet_energy, solve_spinwave
+    from .spinwave import conductance_grid, dirichlet_energy, solve_spinwave
 
     walk = normalize(kernel_preset(p["kernel"]))
+    cgrid = conductance_grid(walk, p["eps"])
     rows = []
     energies = []
     iterations = []
     for n in p["ns"]:
-        wave = solve_spinwave(walk, n, p["inner"], p["psi"], eps=p["eps"])
+        wave = solve_spinwave(walk, n, p["inner"], p["psi"], eps=p["eps"], cgrid=cgrid)
         e = dirichlet_energy(wave)
         energies.append(e)
         iterations.append(wave.iterations)
@@ -377,12 +380,28 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _fmt_column(col):
+    """_fmt of every cell of a column, one formatter for the whole column
+    when its cells allow it."""
+    kinds = set(map(type, col))
+    if all(issubclass(k, float) for k in kinds):
+        return [f"{v:.12g}" for v in col]
+    if not any(issubclass(k, float) for k in kinds):
+        return list(map(str, col))
+    return list(map(_fmt, col))
+
+
 def _write_table(path: str, header, rows, cfg: ExperimentConfig):
+    # rows are read lazily, a block at a time, and formatted by column
     tail = f",{cfg.name},{cfg.hash},{cfg.seed}\n"
     buf = io.StringIO()
     buf.write(",".join(header + ["experiment", "config_hash", "seed"]) + "\n")
-    for row in rows:
-        buf.write(",".join(map(_fmt, row)) + tail)
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, 4096)):
+        cols = [_fmt_column(col) for col in zip(*block)]
+        if len(cols) * len(block) != sum(map(len, block)):
+            raise ValueError(f"{path}: rows of unequal length")
+        buf.write(tail.join(map(",".join, zip(*cols))) + tail)
     _atomic_write(path, buf.getvalue())
 
 
@@ -527,7 +546,7 @@ EXPERIMENTS = {
         "samples": (int, 20, lambda x: x >= 1, "must be >= 1"),
     }, _run_sparseness, _check_sparseness),
     "recurrence": Experiment({
-        "kernel": (str, "nn", _kernel_ok, _NOT_PRESET),
+        "kernel": (str, "nn", None, ""),  # checked at `radius` in load_config
         "radius": (int, 512, lambda x: x >= 1, "must be >= 1"),
     }, _run_recurrence, _check_recurrence),
     "spinwave": Experiment({

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 Site = tuple[int, int]
 Bond = tuple[Site, Site]
@@ -26,6 +27,33 @@ def sup_grid(m: int) -> np.ndarray:
     """sup_norm of every site of the box of radius m, index [x1 + m, x2 + m]."""
     ax = np.abs(np.arange(-m, m + 1))
     return np.maximum.outer(ax, ax)
+
+
+class KernelConvolution:
+    """v -> scipy.signal.fftconvolve(v, kernel, mode="same") for real arrays v
+    of one shape, with the kernel transformed once.  Each call takes the same
+    steps as fftconvolve (the `next_fast_len` padding, `rfftn` over the axes
+    where neither array has length 1, the product in the same order,
+    `irfftn` and the centred slice), so the result is equal bit for bit.  It
+    is returned as a view into the padded inverse transform."""
+
+    def __init__(self, kernel: np.ndarray, shape):
+        self._kernel = np.asarray(kernel, dtype=float)
+        full = [s + k - 1 for s, k in zip(shape, self._kernel.shape)]
+        self._axes = [a for a, (s, k) in enumerate(zip(shape, self._kernel.shape))
+                      if s != 1 and k != 1]
+        self._fshape = [next_fast_len(full[a], True) for a in self._axes]
+        if self._axes:
+            self._transform = rfftn(self._kernel, self._fshape, axes=self._axes)
+        self._centre = tuple(slice((f - s) // 2, (f - s) // 2 + s)
+                             for f, s in zip(full, shape))
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        if not self._axes:  # nothing to transform: a broadcast product
+            return (v * self._kernel)[self._centre]
+        out = irfftn(rfftn(v, self._fshape, axes=self._axes) * self._transform,
+                     self._fshape, axes=self._axes)
+        return out[self._centre]
 
 
 def box_sites(n: int):

@@ -22,8 +22,11 @@ The quadrature of I(rho) takes phi from two exact shortcuts:
   (`WalkKernel.square_symmetric`) phi is constant on each orbit, so one
   octant times 8 is the full circle.
 
-The annulus points and the half-period probes use `char_function`, which sums
-kernels uniform on sup-norm rings in closed form through Dirichlet kernels.
+The annulus points and the half-period probes take 1 - phi itself from
+`WalkKernel.gap`, a sum of nonnegative sin^2 terms, so the integrand keeps
+its relative accuracy as theta -> 0, where 1 - phi formed by subtraction
+would cancel.  Kernels uniform on sup-norm rings are summed as box sums, one
+sine array per axis.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .lattice import sup_grid, sup_norm
+from .lattice import KernelConvolution, sup_grid, sup_norm
 
 DEFAULT_RADIUS = 512
 
@@ -177,15 +179,6 @@ def _finite(text: str) -> float:
     return x
 
 
-def _dirichlet(r, theta):
-    """D_r(theta) = sum_{m=-r}^{r} cos(m theta), stable near theta = 0."""
-    half = np.sin(theta / 2.0)
-    small = np.abs(half) < 1e-12
-    safe = np.where(small, 1.0, half)
-    out = np.sin((r + 0.5) * theta) / safe
-    return np.where(small, 2.0 * r + 1.0, out)
-
-
 class WalkKernel:
     """Normalized transition kernel with characteristic-function machinery."""
 
@@ -201,28 +194,44 @@ class WalkKernel:
 
     def char_function(self, theta: np.ndarray) -> np.ndarray:
         """phi(theta) = sum_x cos(theta . x) j(x); theta of shape (..., 2)."""
+        return 1.0 - self.gap(theta)
+
+    def gap(self, theta: np.ndarray) -> np.ndarray:
+        """1 - phi(theta) = sum_x 2 j(x) sin^2(theta . x / 2), a sum of
+        nonnegative terms, so no cancellation as theta -> 0.
+
+        A ring kernel is the box sum j(x) = sum_s c_s 1[|x1| <= s] 1[|x2| <= s]
+        (see `midpoint_grid`).  Box s has w_s = 2s + 1 sites per side, and its
+        Dirichlet kernel is w_s - E_s(t) with E_s(t) = sum_{m=1}^{s}
+        4 sin^2(m t / 2), a cumulative sum of nonnegative terms; since
+        sum_s c_s w_s^2 = 1, the gap is
+        sum_s c_s [w_s (E_s(t1) + E_s(t2)) - E_s(t1) E_s(t2)]."""
         theta = np.asarray(theta, dtype=float)
         t1 = theta[..., 0]
         t2 = theta[..., 1]
         if self.kernel.explicit is not None:
             out = np.zeros_like(t1)
             for (x1, x2), v in self.kernel.explicit.items():
-                out += v * np.cos(t1 * x1 + t2 * x2)
+                out += 2.0 * v * np.sin(0.5 * (t1 * x1 + t2 * x2)) ** 2
             return out
         rings = self.kernel.rings
+        s = np.arange(1, len(rings))
+        c = rings[1:] - np.append(rings[2:], 0.0)  # box s = 0 adds nothing
+        cw = c * (2.0 * s + 1.0)
         flat1 = t1.reshape(-1)
         flat2 = t2.reshape(-1)
         out = np.zeros_like(flat1)
-        r = np.arange(1, len(rings))
-        j = rings[1:]
         chunk = 2048
         for i in range(0, len(flat1), chunk):
-            a = flat1[i:i + chunk, None]
-            b = flat2[i:i + chunk, None]
-            # ring sum: two full vertical edges and two shortened horizontals
-            s = (2.0 * np.cos(r * a) * _dirichlet(r, b)
-                 + 2.0 * np.cos(r * b) * _dirichlet(r - 1, a))
-            out[i:i + chunk] = s @ j
+            # E_s / 4 along each axis, built in place; the factors 4 are exact.
+            # The bracket is summed as three dot products: for |t| <= pi,
+            # E_s <= 4 w_s / 3, so the split cancels at most a factor of 3.
+            e1, e2 = (np.sin(np.multiply.outer(0.5 * t[i:i + chunk], s))
+                      for t in (flat1, flat2))
+            for e in (e1, e2):
+                np.square(e, out=e)
+                np.cumsum(e, axis=1, out=e)
+            out[i:i + chunk] = 4.0 * (e1 @ cw + e2 @ cw - 4.0 * ((e1 * e2) @ c))
         return out.reshape(t1.shape)
 
     def midpoint_grid(self, n_grid: int) -> np.ndarray:
@@ -299,8 +308,10 @@ class YWalkKernel(WalkKernel):
     def _resolvent(self, phi):
         return phi * (1.0 - self.eps) / (1.0 - self.eps * phi)
 
-    def char_function(self, theta: np.ndarray) -> np.ndarray:
-        return self._resolvent(self.base.char_function(theta))
+    def gap(self, theta: np.ndarray) -> np.ndarray:
+        # 1 - phi_Y = (1 - phi) / (1 - eps phi), from the base's gap
+        g = self.base.gap(theta)
+        return g / (1.0 - self.eps * (1.0 - g))
 
     def midpoint_grid(self, n_grid: int) -> np.ndarray:
         return self._resolvent(self.base.midpoint_grid(n_grid))
@@ -344,11 +355,12 @@ def connectivity_bound(walk: WalkKernel, eps: float, n_terms: int = None,
     if radius is None:
         radius = min(walk.radius * n_terms, 256)
     j = walk.grid_values(radius)
+    convolve = KernelConvolution(j, j.shape)
     power = j.copy()
     acc = eps * power
     scale = eps
     for _ in range(n_terms - 1):
-        power = fftconvolve(power, j, mode="same")
+        power = convolve(power)
         power = np.clip(power, 0.0, None)
         scale *= eps
         acc += scale * power
@@ -408,7 +420,7 @@ def _annulus_integral(walk, r_in: float, r_out: float) -> float:
     ang = 2 * math.pi * (np.arange(n_phi // copies) + 0.5) / n_phi
     rr, aa = np.meshgrid(rmid, ang, indexing="ij")
     pts = np.stack([rr * np.cos(aa), rr * np.sin(aa)], axis=-1)
-    gap = 1.0 - walk.char_function(pts)
+    gap = walk.gap(pts)
     w = (rr * dr[:, None]) * (2 * math.pi / n_phi)
     return copies * float(np.sum(w / np.maximum(gap, 1e-300)))
 
@@ -422,7 +434,7 @@ def truncated_integrals(walk: WalkKernel, ladder) -> list:
     # periodic walks have 1 - phi vanishing at half-period points; probe the
     # usual suspects exactly, the grid midpoints never land on them
     half = np.array([[math.pi, 0.0], [0.0, math.pi], [math.pi, math.pi]])
-    min_gap = min(min_gap, float(np.min(1.0 - walk.char_function(half))))
+    min_gap = min(min_gap, float(np.min(walk.gap(half))))
     if min_gap < 1e-9:
         raise ArithmeticError("1 - phi vanishes away from the origin "
                               "(periodic walk); classification not attempted")

@@ -11,20 +11,26 @@ samples A deform the wave to its cluster-wise minimum; the entropy of the
 tilted state is bounded by a quadratic form in the deformed wave, and Jensen
 splits it into two cluster-displacement terms and one smooth term
 3 c1 Q(psi), which is the same for every sample and is not formed here.
+
+Every convolution is with a kernel that is fixed for the whole solve or the
+whole set of samples, so each kernel is transformed once
+(`lattice.KernelConvolution`).  Sums over the box of a convolution are dot
+products with the kernel's box mass (`BoxForm`): a quadratic form takes one
+convolution, and the cluster terms take none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.signal import fftconvolve
 from scipy.sparse import coo_matrix, csgraph
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .lattice import sup_grid, sup_norm
+from .lattice import KernelConvolution, sup_grid, sup_norm
 from .longrange_walk import WalkKernel, connectivity_bound
 
 
@@ -84,12 +90,12 @@ def solve_spinwave(walk: WalkKernel, n: int, inner: int, psi: float,
 
     idx = np.where(free.ravel())[0]
     shape = fixed.shape
+    convolve = KernelConvolution(cgrid, shape)
 
     def matvec(u):
         grid = np.zeros(shape)
         grid.ravel()[idx] = u
-        conv = fftconvolve(grid, cgrid, mode="same")
-        return c_tot * u - conv.ravel()[idx]
+        return c_tot * u - convolve(grid).ravel()[idx]
 
     side = 2 * n + 1
     spectrum = _sine_symbol(cgrid, side)
@@ -108,30 +114,51 @@ def solve_spinwave(walk: WalkKernel, n: int, inner: int, psi: float,
         nonlocal iterations
         iterations += 1
 
-    b = fftconvolve(fixed, cgrid, mode="same").ravel()[idx]
+    b = convolve(fixed).ravel()[idx]
     op = LinearOperator((len(idx), len(idx)), matvec=matvec)
     m_op = LinearOperator((len(idx), len(idx)), matvec=precondition)
     u, info = cg(op, b, rtol=tol * 1e-2, atol=0.0, maxiter=10 ** 5, M=m_op,
                  callback=count)
     values = fixed.copy()
     values.ravel()[idx] = u
-    conv = fftconvolve(values, cgrid, mode="same")
-    res = float(np.max(np.abs(conv - c_tot * values).ravel()[idx]))
+    res = float(np.max(np.abs(convolve(values) - c_tot * values).ravel()[idx]))
     if info != 0 or res > tol * c_tot:
         raise RuntimeError(f"solver did not converge: residual {res:.3e}")
     return SpinWaveField(n, values, margin, cgrid, res, iterations)
 
 
-def _quadratic_form(v: np.ndarray, c: np.ndarray, box: np.ndarray) -> float:
-    """sum over x in box, y anywhere, of c(x-y)(v(x) - v(y))^2, by FFT."""
-    conv_v = fftconvolve(v, c, mode="same")
-    conv_v2 = fftconvolve(v * v, c, mode="same")
-    return float(np.sum((float(c.sum()) * v * v - 2.0 * v * conv_v + conv_v2)[box]))
+class BoxForm:
+    """A kernel c (odd sides, centred) on one grid, and a box of that grid.
+    `convolve` is the "same"-size convolution with c, `row_mass` = c * 1 the
+    coupling of each site to the grid, and `box_mass` = c~ * 1_box, with
+    c~(z) = c(-z), the coupling of each site to the box.  A box sum of a
+    convolution is then a dot product: sum over x in the box of (c * f)(x) =
+    sum_y f(y) box_mass(y).  c is not assumed symmetric."""
+
+    def __init__(self, c: np.ndarray, box: np.ndarray):
+        self.box = box
+        self.total = float(c.sum())
+        self.convolve = KernelConvolution(c, box.shape)
+        self.box_mass = KernelConvolution(c[::-1, ::-1], box.shape)(box.astype(float))
+
+    @cached_property
+    def row_mass(self) -> np.ndarray:
+        return self.convolve(np.ones(self.box.shape))
+
+
+def _quadratic_form(v: np.ndarray, form: BoxForm) -> float:
+    """sum over x in the box, y anywhere, of c(x-y)(v(x) - v(y))^2: the box sum
+    of C v^2 - 2 v (c * v) + c * v^2, C the kernel's mass, with the last term
+    as the dot product of v^2 with the box mass."""
+    v2 = v * v
+    cross = np.sum((form.total * v2 - 2.0 * v * form.convolve(v))[form.box])
+    return float(cross + np.vdot(v2, form.box_mass))
 
 
 def dirichlet_energy(wave: SpinWaveField) -> float:
     """sum over x in the box, y anywhere, of c(x-y)(Psi(x) - Psi(y))^2."""
-    return _quadratic_form(wave.values, wave.cgrid, sup_grid(wave.margin) <= wave.n)
+    box = sup_grid(wave.margin) <= wave.n
+    return _quadratic_form(wave.values, BoxForm(wave.cgrid, box))
 
 
 def compute_R_delta(v_sites, delta: float, eps: float, walk: WalkKernel,
@@ -166,23 +193,29 @@ class DeformedSpinWave:
     gated: bool  # True when r_A(V) > R(delta) forced the wave to zero
 
 
-def _clusters(bonds, v_sites):
+def _clusters(bonds, v_sites=None):
     """One labelling of the A-clusters.  For the sites the bonds touch, in
     lexicographic order: their (k, 2) coordinates and their cluster labels;
-    then r_A(V)."""
+    then r_A(V), or None without v_sites.  A touched site is numbered by its
+    rank among the marked codes of the (2b + 1)^2 box that holds every bond
+    end."""
     ends = np.asarray(bonds, dtype=np.int64).reshape(-1, 2)
-    v = np.asarray(v_sites, dtype=np.int64).reshape(-1, 2)
-    b = int(np.abs(np.concatenate([ends, v])).max(initial=0))
+    b = int(np.abs(ends).max(initial=0))
     side = 2 * b + 1
-    # one integer per site, increasing in lexicographic order
-    codes, first, inv = np.unique((ends[:, 0] + b) * side + ends[:, 1] + b,
-                                  return_index=True, return_inverse=True)
+    codes = (ends[:, 0] + b) * side + ends[:, 1] + b
+    touched = np.zeros(side * side, dtype=bool)
+    touched[codes] = True
+    rank = np.cumsum(touched) - 1
+    inv = rank[codes]
+    sites = np.stack(np.divmod(np.flatnonzero(touched), side), axis=1) - b
     graph = coo_matrix((np.ones(len(inv) // 2), (inv[0::2], inv[1::2])),
-                       shape=(len(codes), len(codes)))
+                       shape=(len(sites), len(sites)))
     _, labels = csgraph.connected_components(graph, directed=False)
-    sites = ends[first]
-    v_codes = (v[:, 0] + b) * side + v[:, 1] + b
-    v_labels = labels[np.searchsorted(codes, v_codes[np.isin(v_codes, codes)])]
+    if v_sites is None:
+        return sites, labels, None
+    v = np.asarray(v_sites, dtype=np.int64).reshape(-1, 2)
+    v_codes = ((v[:, 0] + b) * side + v[:, 1] + b)[np.abs(v).max(axis=1) <= b]
+    v_labels = labels[rank[v_codes[touched[v_codes]]]]
     reach = max(np.abs(v).max(initial=0),
                 np.abs(sites[np.isin(labels, v_labels)]).max(initial=0))
     return sites, labels, int(reach)
@@ -199,19 +232,17 @@ def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
     clusters); if the clusters of V reach beyond r_delta the whole deformed
     wave is set to zero."""
     m = wave.margin
-    sites, labels, r_a = _clusters(bonds, v_sites)
+    sites, labels, r_a = _clusters(bonds, None if r_delta is None else v_sites)
     if r_delta is not None and r_a > r_delta:
         return DeformedSpinWave(wave, np.zeros_like(wave.values), True)
     inside = np.abs(sites).max(axis=1) <= m
     x, y = sites[inside].T + m
     vals = np.zeros(len(sites))
     vals[inside] = wave.values[x, y]
-    # sorted by label, then value: the first site of each label holds its
-    # cluster's minimum
-    order = np.lexsort((vals, labels))
-    best = order[np.diff(labels[order], prepend=-1) != 0][labels]
+    low = np.full(len(sites), np.inf)  # each cluster's minimum, by label
+    np.minimum.at(low, labels, vals)
     values = wave.values.copy()
-    values[x, y] = vals[best[inside]]
+    values[x, y] = low[labels[inside]]
     return DeformedSpinWave(wave, values, False)
 
 
@@ -222,20 +253,19 @@ class EntropyEstimate:
     term_cluster_y: float
 
 
-def entropy_bound(deformed: DeformedSpinWave, j_grid: np.ndarray,
+def entropy_bound(deformed: DeformedSpinWave, form: BoxForm,
                   c1: float) -> EntropyEstimate:
     """Quadratic form c1 sum J(x-y) (tilde Psi(x) - tilde Psi(y))^2 over x in
     the box, and the two cluster terms of its Jensen decomposition; the
-    third, 3 c1 Q(Psi), does not depend on the bonds."""
-    wave = deformed.base
-    box = sup_grid(wave.margin) <= wave.n
-    psi = wave.values
+    third, 3 c1 Q(Psi), does not depend on the bonds.  `form` holds J on the
+    wave's grid and box.  The cluster terms take no convolution: one weighs
+    disp^2 by J * 1 over the box, the other, the box sum of J * disp^2, is
+    the dot product of disp^2 with the box mass."""
     tpsi = deformed.values
-    value = c1 * _quadratic_form(tpsi, j_grid, box)
-    disp2 = (tpsi - psi) ** 2
-    j_mass = fftconvolve(np.ones_like(psi), j_grid, mode="same")
-    term_x = 3 * c1 * float(np.sum((j_mass * disp2)[box]))
-    term_y = 3 * c1 * float(np.sum(fftconvolve(disp2, j_grid, mode="same")[box]))
+    value = c1 * _quadratic_form(tpsi, form)
+    disp2 = (tpsi - deformed.base.values) ** 2
+    term_x = 3 * c1 * float(np.sum((form.row_mass * disp2)[form.box]))
+    term_y = 3 * c1 * float(np.vdot(disp2, form.box_mass))
     return EntropyEstimate(value, term_x, term_y)
 
 
@@ -289,6 +319,7 @@ def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
     """
     wave = solve_spinwave(walk, n, inner, psi, eps=eps)
     j_grid = walk.grid_values(min(walk.radius, wave.margin))
+    form = BoxForm(j_grid, sup_grid(wave.margin) <= wave.n)
     rng = np.random.default_rng(seed)
     vals = []
     cluster_vals = []
@@ -301,7 +332,7 @@ def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
             vals.append(0.0)
             cluster_vals.append(0.0)
             continue
-        est = entropy_bound(dw, j_grid, c1)
+        est = entropy_bound(dw, form, c1)
         vals.append(est.value)
         cluster_vals.append(est.term_cluster_x + est.term_cluster_y)
     vals = np.asarray(vals)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from spinlab import cli
@@ -302,9 +303,19 @@ ns = 6,8
         # bytes of a list join of its lines
         header, rows = EXPERIMENTS["spinwave"].run(cfg.params, cfg.seed)[0]["field.csv"]
         assert (out / "field.csv").read_text() == _list_join(header, rows, cfg)
-        mixed = [[1, 0.1, "a"], [-2, 1e-20, ""], [3, float("nan"), "c"]]
-        cli._write_table(str(tmp_path / "mixed.csv"), ["i", "f", "s"], iter(mixed), cfg)
-        assert (tmp_path / "mixed.csv").read_text() == _list_join(["i", "f", "s"], mixed, cfg)
+        # a table formatted by column: columns of floats, of no float, and of
+        # ints mixed with floats
+        mixed = [[1, 0.1, "a", True, np.float64(1 / 3), np.int64(7), 2],
+                 [-2, 1e-20, "", False, np.float64(-0.0), np.int64(-8), 0.5],
+                 [3, float("nan"), "c", True, float("inf"), np.int64(0), -1e300],
+                 [4, -float("inf"), "d", False, np.float64(np.nan), np.int64(1), 3]]
+        header = ["i", "f", "s", "b", "f64", "i64", "mixed"]
+        cli._write_table(str(tmp_path / "mixed.csv"), header, iter(mixed), cfg)
+        assert (tmp_path / "mixed.csv").read_text() == _list_join(header, mixed, cfg)
+        # rows past one block of 4096, read lazily
+        long = [[i, i / 7] for i in range(9000)]
+        cli._write_table(str(tmp_path / "long.csv"), ["i", "f"], iter(long), cfg)
+        assert (tmp_path / "long.csv").read_text() == _list_join(["i", "f"], long, cfg)
 
 
 class TestMain:
@@ -363,6 +374,20 @@ radius = 128
         assert ("recurrence.kernel: kernel preset 'powerlaw(-110)' has mass inf "
                 "at radius 1000") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_kernel_checked_at_the_config_radius_alone(self, tmp_path, capsys):
+        # powerlaw(-115) overflows at the default radius 512 but not at 128
+        body = ("[experiment]\nname = recurrence\nout = %s\n\n[recurrence]\n"
+                "kernel = powerlaw(-115)\nradius = %d\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path / "ok.ini", body % (out, 128))]) == 0
+        assert (out / "recurrence.csv").exists()
+        capsys.readouterr()
+        assert main(["run", "--config", write_config(tmp_path / "c.ini", body % (out, 512))]) == 2
+        err = capsys.readouterr().err
+        assert "recurrence.kernel: unknown or malformed preset" in err
+        assert ("recurrence.kernel: kernel preset 'powerlaw(-115)' has mass inf "
+                "at radius 512") in err
 
     @pytest.mark.parametrize("name, key", sorted(
         (name, key) for name, exp in EXPERIMENTS.items()

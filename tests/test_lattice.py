@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from spinlab.lattice import (
     DualPath,
+    KernelConvolution,
     box_sites,
     circuit_from_crossings,
     component_boundary,
@@ -199,3 +202,27 @@ class TestComponentBoundary:
         for b in path.crossed_bonds():
             u, v = b
             assert (u in comp) != (v in comp)
+
+
+class TestKernelConvolution:
+    @pytest.mark.parametrize("shape", [(9, 9), (16, 16), (15, 22), (1, 7), (53, 53)])
+    @pytest.mark.parametrize("side", [1, 2, 3, 4, 7, 18, 37])
+    def test_bitwise_equal_to_fftconvolve(self, shape, side):
+        # odd and even grids and kernels; a 37 x 37 kernel is larger than
+        # most of the grids
+        rng = np.random.default_rng(side * 100 + shape[0])
+        kernel = rng.standard_normal((side, side))
+        conv = KernelConvolution(kernel, shape)
+        for _ in range(3):  # the kernel's transform is reused
+            v = rng.standard_normal(shape)
+            got = conv(v)
+            want = fftconvolve(v, kernel, mode="same")
+            assert got.shape == want.shape == shape
+            assert np.array_equal(got, want)
+
+    def test_rectangular_kernel_larger_than_grid(self):
+        rng = np.random.default_rng(5)
+        kernel = rng.standard_normal((41, 6))
+        v = rng.standard_normal((12, 1))
+        assert np.array_equal(KernelConvolution(kernel, v.shape)(v),
+                              fftconvolve(v, kernel, mode="same"))

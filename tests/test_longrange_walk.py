@@ -111,6 +111,55 @@ class TestCharFunction:
         assert gap == pytest.approx(1e-8 * c2 / 4, rel=1e-4)
 
 
+def _direct_gap(walk, thetas):
+    """sum_x 2 j(x) sin^2(theta . x / 2) over the kernel's grid."""
+    g = walk.grid_values()
+    r = (g.shape[0] - 1) // 2
+    x = np.arange(-r, r + 1)
+    return np.array([np.sum(2.0 * g * np.sin(0.5 * (t1 * x[:, None] + t2 * x)) ** 2)
+                     for t1, t2 in thetas])
+
+
+def _gap_thetas():
+    # |theta| from 1e-4 to pi in random directions, plus axis, diagonal and
+    # half-period points
+    rng = np.random.default_rng(7)
+    mags = np.geomspace(1e-4, math.pi, 12)
+    angs = rng.uniform(0.0, 2 * math.pi, 12)
+    thetas = np.stack([mags * np.cos(angs), mags * np.sin(angs)], axis=1)
+    return np.vstack([thetas, [[1e-4, 0.0], [0.0, math.pi], [math.pi, math.pi],
+                               [2e-4, -1e-4]]])
+
+
+class TestGap:
+    # 1 - phi formed by subtraction misses these bounds, by 1e-9 to 1e-8
+    # relative; the gap sums nonnegative terms and keeps full precision
+
+    @pytest.mark.parametrize("spec", ["powerlaw(3.5)", "logcorr(2)", "nn"])
+    def test_against_site_sum(self, spec):
+        w = normalize(kernel_preset(spec, radius=512))
+        thetas = _gap_thetas()
+        direct = _direct_gap(w, thetas)
+        assert np.all(np.abs(w.gap(thetas) - direct) <= 1e-13 * direct)
+        assert np.array_equal(w.char_function(thetas), 1.0 - w.gap(thetas))
+
+    def test_y_walk_resolvent(self):
+        # 1 - phi_Y = (1 - phi) / (1 - eps phi), phi of the base walk; the
+        # truncated d_eps grid differs from the resolvent by about 1e-12
+        base = normalize(kernel_preset("powerlaw(3.5)", radius=32))
+        y = y_kernel(base, 0.2)
+        thetas = _gap_thetas()
+        direct = _direct_gap(base, thetas)
+        want = direct / (1.0 - 0.2 * (1.0 - direct))
+        assert np.all(np.abs(y.gap(thetas) - want) <= 1e-13 * want)
+
+    def test_shape_follows_theta(self):
+        w = normalize(powerlaw_kernel(3.0, radius=6))
+        thetas = np.random.default_rng(2).uniform(-1, 1, size=(3, 5, 2))
+        assert w.gap(thetas).shape == (3, 5)
+        assert w.gap(np.array([0.3, 0.1])).shape == ()
+
+
 def _skewed_kernel():
     # symmetric under x -> -x only: unequal axis and unequal diagonal couplings
     return normalize(CouplingKernel("skewed", explicit={

@@ -3,7 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from spinlab.lattice import sup_grid, sup_norm
@@ -15,7 +16,9 @@ from spinlab.longrange_walk import (
     powerlaw_kernel,
 )
 from spinlab.spinwave import (
+    BoxForm,
     SpinWaveField,
+    _clusters,
     _quadratic_form,
     _sine_symbol,
     cluster_reach,
@@ -441,16 +444,94 @@ class TestBondSampler:
             sample_long_range_bonds(0.9, j_grid, 1, np.random.default_rng(0))
 
 
+def box_form(wave, j_grid):
+    """The coupling on the wave's grid and box."""
+    return BoxForm(j_grid, sup_grid(wave.margin) <= wave.n)
+
+
 def smooth_term(wave, j_grid, c1):
     """The third Jensen term, 3 c1 Q(Psi), of the undeformed wave."""
-    box = sup_grid(wave.margin) <= wave.n
-    return 3 * c1 * _quadratic_form(wave.values, j_grid, box)
+    return 3 * c1 * _quadratic_form(wave.values, box_form(wave, j_grid))
+
+
+class TestBoxForm:
+    def test_quadratic_form_against_double_sum(self):
+        # a kernel with no point symmetry, c(z) != c(-z), on a grid whose box
+        # is off its centre
+        rng = np.random.default_rng(11)
+        c = rng.uniform(0.0, 1.0, (5, 5))
+        v = rng.standard_normal((9, 11))
+        box = np.zeros(v.shape, dtype=bool)
+        box[2:6, 3:9] = True
+        direct = 0.0
+        for x1, x2 in zip(*np.nonzero(box)):
+            for z1 in range(-2, 3):
+                for z2 in range(-2, 3):
+                    y1, y2 = x1 - z1, x2 - z2
+                    inside = 0 <= y1 < v.shape[0] and 0 <= y2 < v.shape[1]
+                    vy = v[y1, y2] if inside else 0.0
+                    direct += c[z1 + 2, z2 + 2] * (v[x1, x2] - vy) ** 2
+        assert _quadratic_form(v, BoxForm(c, box)) == pytest.approx(direct, rel=1e-12)
+
+    def test_masses_against_sums(self):
+        rng = np.random.default_rng(12)
+        c = rng.uniform(0.0, 1.0, (3, 5))
+        box = rng.uniform(size=(7, 8)) < 0.4
+        form = BoxForm(c, box)
+        row = np.zeros(box.shape)
+        col = np.zeros(box.shape)
+        for x1 in range(7):
+            for x2 in range(8):
+                for z1 in range(-1, 2):
+                    for z2 in range(-2, 3):
+                        y1, y2 = x1 - z1, x2 - z2
+                        if 0 <= y1 < 7 and 0 <= y2 < 8:
+                            row[x1, x2] += c[z1 + 1, z2 + 2]
+                            col[y1, y2] += c[z1 + 1, z2 + 2] * box[x1, x2]
+        assert np.allclose(form.row_mass, row, rtol=0, atol=1e-14)
+        assert np.allclose(form.box_mass, col, rtol=0, atol=1e-14)
+
+
+def _unique_labelling(bonds, v_sites):
+    # the labelling by np.unique that the code-grid ranks replace
+    ends = np.asarray(bonds, dtype=np.int64).reshape(-1, 2)
+    v = np.asarray(v_sites, dtype=np.int64).reshape(-1, 2)
+    b = int(np.abs(np.concatenate([ends, v])).max(initial=0))
+    side = 2 * b + 1
+    codes, first, inv = np.unique((ends[:, 0] + b) * side + ends[:, 1] + b,
+                                  return_index=True, return_inverse=True)
+    graph = coo_matrix((np.ones(len(inv) // 2), (inv[0::2], inv[1::2])),
+                       shape=(len(codes), len(codes)))
+    _, labels = connected_components(graph, directed=False)
+    sites = ends[first]
+    v_codes = (v[:, 0] + b) * side + v[:, 1] + b
+    v_labels = labels[np.searchsorted(codes, v_codes[np.isin(v_codes, codes)])]
+    reach = max(np.abs(v).max(initial=0),
+                np.abs(sites[np.isin(labels, v_labels)]).max(initial=0))
+    return sites, labels, int(reach)
+
+
+class TestClusterLabelling:
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_unique_labelling(self, n, seed):
+        rng = np.random.default_rng(seed)
+        j_grid = normalize(kernel_preset("powerlaw(3.5)", radius=3)).grid_values()
+        bonds = sample_long_range_bonds(0.6, j_grid, n, rng)
+        v_sites = [tuple(int(c) for c in rng.integers(-n - 3, n + 4, 2))
+                   for _ in range(3)] + [(0, 0)]
+        sites, labels, reach = _clusters(bonds, v_sites)
+        want = _unique_labelling(bonds, v_sites)
+        assert np.array_equal(sites, want[0])
+        assert np.array_equal(labels, want[1])
+        assert reach == want[2]
+        assert _clusters(bonds)[2] is None
 
 
 class TestEntropyBound:
     def test_no_bonds_reduces_to_smooth_form(self, nn_walk, small_wave):
         j_grid = nn_walk.grid_values(small_wave.margin)
-        est = entropy_bound(deform(small_wave, []), j_grid, c1=2.0)
+        est = entropy_bound(deform(small_wave, []), box_form(small_wave, j_grid), c1=2.0)
         assert est.term_cluster_x == 0.0
         assert est.term_cluster_y == 0.0
         assert est.value == pytest.approx(smooth_term(small_wave, j_grid, 2.0) / 3,
@@ -460,7 +541,7 @@ class TestEntropyBound:
         j_grid = nn_walk.grid_values(1)
         bonds = [((3, 0), (5, 0)), ((0, 4), (0, 6)), ((-4, -4), (-5, -4))]
         dw = deform(small_wave, bonds)
-        est = entropy_bound(dw, j_grid, c1=1.0)
+        est = entropy_bound(dw, box_form(small_wave, j_grid), c1=1.0)
         direct = 0.0
         n = small_wave.n
         for x1 in range(-n, n + 1):
@@ -474,7 +555,8 @@ class TestEntropyBound:
         rng = np.random.default_rng(17)
         for _ in range(5):
             bonds = sample_long_range_bonds(0.3, j_grid, small_wave.margin, rng)
-            est = entropy_bound(deform(small_wave, bonds), j_grid, c1=1.5)
+            est = entropy_bound(deform(small_wave, bonds), box_form(small_wave, j_grid),
+                                c1=1.5)
             jensen = (est.term_cluster_x + est.term_cluster_y
                       + smooth_term(small_wave, j_grid, 1.5))
             assert est.value <= jensen + 1e-12
@@ -482,7 +564,7 @@ class TestEntropyBound:
     def test_gated_wave_has_zero_entropy(self, nn_walk, small_wave):
         j_grid = nn_walk.grid_values(2)
         dw = deform(small_wave, [((0, 0), (7, 0))], r_delta=3)
-        est = entropy_bound(dw, j_grid, c1=1.0)
+        est = entropy_bound(dw, box_form(small_wave, j_grid), c1=1.0)
         assert est.value == 0.0
 
 
