@@ -14,7 +14,6 @@ import argparse
 import configparser
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -145,6 +144,12 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
         except ValueError as exc:
             errors += [f"{name}.kernel: {_NOT_PRESET} (got {params['kernel']})",
                        f"{name}.kernel: {exc}"]
+    if not errors and "distances" in params and max(params["distances"]) > params["n"]:
+        errors.append(f"{name}.distances: entries must be <= n = {params['n']}, "
+                      f"or the far site leaves the box (got {params['distances']})")
+    if not errors and "inner" in params and params["inner"] >= min(params["ns"]):
+        errors.append(f"{name}.inner: must be < every entry of ns "
+                      f"(got {params['inner']}, ns {params['ns']})")
     if errors:
         raise ConfigError(errors)
     if seed_override is not None:
@@ -155,7 +160,8 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (tables, metrics); a table is (header, rows)
+# experiments: each returns (tables, metrics); a table is (header, blocks),
+# blocks of rows given by column as `_write_table` takes them
 
 
 def _fmt(v):
@@ -184,7 +190,8 @@ def _run_layers(p, seed):
             bound = uniformity_bound(k, p["n"], c1)
             rows.append([orbit_idx, k, p["n"], dev, bound, int(dev <= bound)])
     worst = max(dev - bound for _, _, _, dev, bound, _ in rows)
-    tables = {"layers.csv": (["orbit", "k", "r", "sup_dev", "bound", "ok"], rows)}
+    tables = {"layers.csv": (["orbit", "k", "r", "sup_dev", "bound", "ok"],
+                             _by_column(rows))}
     return tables, {"c1": c1, "worst_margin": worst,
                     "all_within_bound": bool(worst <= 0)}
 
@@ -197,7 +204,8 @@ def _run_extremal(p, seed):
     for s in range(1, p["smax"] + 1):
         val, _ = extremal_fourier_oracle(p["c"], s, p["grid"])
         rows.append([s, val, coarse, sharp])
-    tables = {"extremal.csv": (["s", "extremal", "coarse_bound", "sharp_bound"], rows)}
+    tables = {"extremal.csv": (["s", "extremal", "coarse_bound", "sharp_bound"],
+                               _by_column(rows))}
     return tables, {"c": p["c"], "max_value": max(r[1] for r in rows)}
 
 
@@ -214,7 +222,8 @@ def _run_sparseness(p, seed):
                      est.failures, est.frequency,
                      est.interval[0], est.interval[1]])
     tables = {"sparseness.csv": (["n", "eps", "alpha", "rho", "samples",
-                                  "failures", "frequency", "ci_lo", "ci_hi"], rows)}
+                                  "failures", "frequency", "ci_lo", "ci_hi"],
+                                 _by_column(rows))}
     return tables, {"frequencies": freqs}
 
 
@@ -224,7 +233,7 @@ def _run_recurrence(p, seed):
     walk = normalize(kernel_preset(p["kernel"], radius=p["radius"]))
     rep = recurrence_classify(walk)
     rows = [[float(r), float(v)] for r, v in zip(rep.rhos, rep.values)]
-    tables = {"recurrence.csv": (["rho", "integral"], rows)}
+    tables = {"recurrence.csv": (["rho", "integral"], _by_column(rows))}
     return tables, {"kernel": p["kernel"], "verdict": rep.verdict,
                     "periodic": bool(rep.periodic), "fit": rep.fit}
 
@@ -246,12 +255,22 @@ def _run_spinwave(p, seed):
         rows.append([n, p["inner"], p["psi"], e, wave.residual])
     n, m = wave.n, wave.margin
     box = wave.values[m - n:m + n + 1, m - n:m + n + 1]
-    # row by row as the table is written, never the whole field as tuples
-    field_rows = ((x1, x2, v) for x1, row in enumerate(box, -n)
-                  for x2, v in enumerate(row.tolist(), -n))
+    side = 2 * n + 1
+    labels = [str(x) for x in range(-n, n + 1)]
+
+    def field_blocks():
+        # cells in row-major order, 4096 at a time, each coordinate cell one
+        # of the 2n + 1 axis labels
+        for start in range(0, box.size, 4096):
+            cells = range(start, min(start + 4096, box.size))
+            yield ([labels[c // side] for c in cells],
+                   [labels[c % side] for c in cells],
+                   box.flat[cells.start:cells.stop].tolist())
+
     tables = {
-        "spinwave.csv": (["n", "inner", "psi", "energy", "residual"], rows),
-        "field.csv": (["x1", "x2", "value"], field_rows),
+        "spinwave.csv": (["n", "inner", "psi", "energy", "residual"],
+                         _by_column(rows)),
+        "field.csv": (["x1", "x2", "value"], field_blocks()),
     }
     return tables, {"energies": energies, "cg_iterations": iterations,
                     "decreasing": bool(all(a > b for a, b in zip(energies, energies[1:])))}
@@ -271,7 +290,8 @@ def _run_entropy(p, seed):
         rows.append([n, p["eps"], rep.samples, rep.mean, rep.ci[0], rep.ci[1],
                      rep.gated_fraction, rep.cluster_mean, rep.cluster_comparison])
     tables = {"entropy.csv": (["n", "eps", "samples", "mean", "ci_lo", "ci_hi",
-                               "gated", "cluster_mean", "cluster_comparison"], rows)}
+                               "gated", "cluster_mean", "cluster_comparison"],
+                              _by_column(rows))}
     return tables, {"means": means}
 
 
@@ -285,7 +305,7 @@ def _run_rotation(p, seed):
             for i, n in enumerate(p["ns"])]
     rows = [[r.n, p["psi"], r.discrepancy, r.error] for r in reps]
     discs = [r.discrepancy for r in reps]
-    tables = {"rotation.csv": (["n", "psi", "discrepancy", "error"], rows)}
+    tables = {"rotation.csv": (["n", "psi", "discrepancy", "error"], _by_column(rows))}
     return tables, {"discrepancies": discs,
                     "decreasing": bool(all(a > b for a, b in zip(discs, discs[1:]))),
                     "widths": [r.width for r in reps],
@@ -310,7 +330,7 @@ def _run_twopoint(p, seed):
                           "ll_difference": fit.ll_difference}
     except ValueError as exc:
         metrics["fit"] = {"unusable": str(exc)}
-    tables = {"twopoint.csv": (["distance", "mean", "error"], rows)}
+    tables = {"twopoint.csv": (["distance", "mean", "error"], _by_column(rows))}
     return tables, metrics
 
 
@@ -325,7 +345,8 @@ def _run_aizenman(p, seed):
         for y in range(-n, n + 1):
             m = rep.state.magnetization[x + n, y + n]
             rows.append([x, y, m.real, m.imag, abs(m)])
-    tables = {"magnetization.csv": (["x1", "x2", "re", "im", "modulus"], rows)}
+    tables = {"magnetization.csv": (["x1", "x2", "re", "im", "modulus"],
+                                    _by_column(rows))}
     return tables, {"origin_modulus": rep.origin_modulus(),
                     "violations": rep.state.violations,
                     "covariance_gap": rep.covariance_gap,
@@ -342,7 +363,7 @@ def _run_decompose51(p, seed):
     rows = [[s, float(c), float(d)] for s, (c, d) in enumerate(
         zip(np.concatenate([[dec.smooth.c0], dec.smooth.cos_coeffs]),
             np.concatenate([[0.0], dec.smooth.sin_coeffs])))]
-    tables = {"decomposition.csv": (["mode", "cos_coeff", "sin_coeff"], rows)}
+    tables = {"decomposition.csv": (["mode", "cos_coeff", "sin_coeff"], _by_column(rows))}
     return tables, {"ratio": ratio,
                     "domination_eps": domination_epsilon(ratio),
                     "second_derivative_bound": dec.second_derivative_bound}
@@ -391,17 +412,23 @@ def _fmt_column(col):
     return list(map(_fmt, col))
 
 
-def _write_table(path: str, header, rows, cfg: ExperimentConfig):
-    # rows are read lazily, a block at a time, and formatted by column
+def _by_column(rows):
+    """A table built row by row, as its one block of columns."""
+    return [zip(*rows, strict=True)]
+
+
+def _write_table(path: str, header, blocks, cfg: ExperimentConfig):
+    """Write a table given a block of rows at a time, each block as its list
+    of columns, read lazily and formatted by column."""
     tail = f",{cfg.name},{cfg.hash},{cfg.seed}\n"
     buf = io.StringIO()
     buf.write(",".join(header + ["experiment", "config_hash", "seed"]) + "\n")
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, 4096)):
-        cols = [_fmt_column(col) for col in zip(*block)]
-        if len(cols) * len(block) != sum(map(len, block)):
-            raise ValueError(f"{path}: rows of unequal length")
-        buf.write(tail.join(map(",".join, zip(*cols))) + tail)
+    for block in blocks:
+        cols = [_fmt_column(col) for col in block]
+        if len(set(map(len, cols))) > 1:
+            raise ValueError(f"{path}: columns of unequal length")
+        if cols and cols[0]:
+            buf.write(tail.join(map(",".join, zip(*cols))) + tail)
     _atomic_write(path, buf.getvalue())
 
 

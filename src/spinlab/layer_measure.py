@@ -23,6 +23,7 @@ from . import lattice
 from .interaction import PairPotential, TrigPolynomial, wrap_angle
 
 DEFAULT_GRID = 4096
+_BOND_BLOCK = 32  # bonds per block of a layer table without a Fourier form
 
 
 def circle_grid(m: int = DEFAULT_GRID) -> np.ndarray:
@@ -96,7 +97,9 @@ def layer_potential(k: int, orbit: OrbitConfiguration, pot: PairPotential,
     W_k(t) = |B| c0 + Re sum_s (a_s - i b_s) Z_s e^{ist}, Z_s = sum_b
     e^{is delta_b}, a polynomial of the same degree evaluated by one inverse
     FFT; its cutoff puts +inf where some bond leaves the hard core.  Any
-    other potential is called on the (bonds x grid) array of angles.
+    other potential is called on blocks of `_BOND_BLOCK` bonds x grid
+    angles, each block's first row carrying the running total, so the sum
+    adds the bonds in order exactly as one (bonds x grid) table would.
     """
     if not 0 <= k <= orbit.n:
         raise ValueError(f"layer index {k} outside 0..{orbit.n}")
@@ -105,7 +108,13 @@ def layer_potential(k: int, orbit: OrbitConfiguration, pot: PairPotential,
     t = circle_grid(grid_size)
     poly = pot.fourier
     if poly is None:
-        w = pot(t[None, :] + deltas[:, None]).sum(axis=0)
+        w = None
+        for i in range(0, len(deltas), _BOND_BLOCK):
+            block = pot(t[None, :] + deltas[i:i + _BOND_BLOCK, None])
+            if w is not None:
+                block[0] += w
+            # the axis-0 sum of a C-contiguous block adds its rows in order
+            w = block.sum(axis=0)
     else:
         s = np.arange(1, poly.degree + 1)
         z = np.exp(1j * np.outer(s, deltas)).sum(axis=1)

@@ -18,21 +18,20 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from . import lattice
-from .lattice import Bond, DualPath, ShellRectangle
+from .lattice import DualPath, ShellRectangle
 
 
-def box_bonds(n: int) -> list[Bond]:
-    """Nearest-neighbour bonds with both endpoints in the box of radius n, in
-    sorted order: sites lexicographically, the bond up before the bond to the
-    right."""
-    bonds = []
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if y < n:
-                bonds.append(((x, y), (x, y + 1)))
-            if x < n:
-                bonds.append(((x, y), (x + 1, y)))
-    return bonds
+def box_bonds(n: int) -> np.ndarray:
+    """Nearest-neighbour bonds with both endpoints in the box of radius n, as
+    an (m, 4) int32 array of endpoints x, y, x', y' in sorted order: sites
+    lexicographically, the bond up before the bond to the right."""
+    if n < 0:
+        raise ValueError("box radius must be >= 0")
+    side = np.arange(-n, n + 1, dtype=np.int32)
+    x, y = (a.ravel() for a in np.meshgrid(side, side, indexing="ij"))
+    ends = np.stack([np.stack([x, y, x, y + 1], axis=1),     # up
+                     np.stack([x, y, x + 1, y], axis=1)], 1)  # right
+    return ends[np.stack([y < n, x < n], axis=1)]
 
 
 @dataclass
@@ -40,17 +39,20 @@ class BondProcessSample:
     bonds: set
 
 
-def sample_bernoulli(eps: float, domain, seed: int) -> BondProcessSample:
+def sample_bernoulli(eps: float, domain: np.ndarray, seed: int) -> BondProcessSample:
     """Independent bond process: each bond of the domain open with density eps.
 
-    The seed's stream gives one uniform per bond in the order of `domain`, a
-    sequence, and bond i is open when the i-th is below eps.  The sample of a
-    seed thus depends on that order; `box_bonds` lists its bonds sorted.
+    The domain is an (m, 4) array of bond endpoints, as `box_bonds` gives it.
+    The seed's stream gives one uniform per row, in row order, and bond i is
+    open when the i-th is below eps.  The sample of a seed thus depends on
+    that order; `box_bonds` lists its bonds sorted.  The open bonds come back
+    as canonical `((x, y), (x', y'))` tuples.
     """
     if not 0 <= eps < 1:
         raise ValueError("density must be in [0, 1)")
     u = np.random.default_rng(seed).random(len(domain))
-    return BondProcessSample({domain[i] for i in np.flatnonzero(u < eps)})
+    return BondProcessSample({lattice.canonical_bond((x, y), (x1, y1))
+                              for x, y, x1, y1 in domain[u < eps].tolist()})
 
 
 @dataclass

@@ -291,7 +291,7 @@ seed = 4
 out = %s
 
 [spinwave]
-ns = 6,8
+ns = 6,32
 """ % out))
         manifest = run(cfg)
         paths = [e["path"] for e in manifest["outputs"]] + [str(out / "manifest.json")]
@@ -299,9 +299,13 @@ ns = 6,8
         for path, text in calls:
             with open(path, "rb") as f:
                 assert f.read() == text.encode()
-        # the field table of ints, floats and the string tail keeps the
-        # bytes of a list join of its lines
-        header, rows = EXPERIMENTS["spinwave"].run(cfg.params, cfg.seed)[0]["field.csv"]
+        # the field at n = 32 has 65^2 = 4225 cells, so its second block of
+        # 4096 starts inside a row; its rows as ints and floats keep the bytes
+        # of a list join of its lines
+        header, blocks = EXPERIMENTS["spinwave"].run(cfg.params, cfg.seed)[0]["field.csv"]
+        rows = [[int(x1), int(x2), v] for block in blocks for x1, x2, v in zip(*block)]
+        assert [row[:2] for row in rows] == [[x1, x2] for x1 in range(-32, 33)
+                                             for x2 in range(-32, 33)]
         assert (out / "field.csv").read_text() == _list_join(header, rows, cfg)
         # a table formatted by column: columns of floats, of no float, and of
         # ints mixed with floats
@@ -310,12 +314,20 @@ ns = 6,8
                  [3, float("nan"), "c", True, float("inf"), np.int64(0), -1e300],
                  [4, -float("inf"), "d", False, np.float64(np.nan), np.int64(1), 3]]
         header = ["i", "f", "s", "b", "f64", "i64", "mixed"]
-        cli._write_table(str(tmp_path / "mixed.csv"), header, iter(mixed), cfg)
+        cli._write_table(str(tmp_path / "mixed.csv"), header, cli._by_column(mixed), cfg)
         assert (tmp_path / "mixed.csv").read_text() == _list_join(header, mixed, cfg)
-        # rows past one block of 4096, read lazily
+        # blocks of columns, read lazily, joined in order
         long = [[i, i / 7] for i in range(9000)]
-        cli._write_table(str(tmp_path / "long.csv"), ["i", "f"], iter(long), cfg)
+        blocks = (list(zip(*long[i:i + 4096])) for i in range(0, 9000, 4096))
+        cli._write_table(str(tmp_path / "long.csv"), ["i", "f"], blocks, cfg)
         assert (tmp_path / "long.csv").read_text() == _list_join(["i", "f"], long, cfg)
+        # rows or columns of unequal length are refused
+        with pytest.raises(ValueError):
+            cli._write_table(str(tmp_path / "bad.csv"), ["i", "f"],
+                             cli._by_column([[1, 0.5], [2]]), cfg)
+        with pytest.raises(ValueError):
+            cli._write_table(str(tmp_path / "bad.csv"), ["i", "f"], [[[1, 2], [0.5]]], cfg)
+        assert not (tmp_path / "bad.csv").exists()
 
 
 class TestMain:
@@ -445,20 +457,28 @@ potential = logsing
         out = tmp_path / "out"
         assert not out.exists() or not os.listdir(out)
 
-    def test_twopoint_distance_outside_box_exits_1(self, tmp_path, capsys):
-        p = write_config(tmp_path / "c.ini", """
-[experiment]
-name = twopoint
-out = %s
-
-[twopoint]
-n = 3
-distances = 1,4
-sweeps = 64
-""" % (tmp_path / "out"))
-        assert main(["run", "--config", p]) == 1
-        err = capsys.readouterr().err
-        assert "sites (0, 0) and (0, 4) must lie in the box of radius 3" in err
+    @pytest.mark.parametrize("name, body, edge, message", [
+        ("twopoint", "n = 2\nsweeps = 64", "n = 8\nsweeps = 64",
+         "twopoint.distances: entries must be <= n = 2"),
+        ("twopoint", "n = 3\ndistances = 1,4\nsweeps = 64",
+         "n = 3\ndistances = 1,3\nsweeps = 64",
+         "twopoint.distances: entries must be <= n = 3"),
+        ("spinwave", "ns = 4,8\ninner = 4", "ns = 4,8\ninner = 3",
+         "spinwave.inner: must be < every entry of ns"),
+        ("entropy", "ns = 4\ninner = 6", "ns = 4\ninner = 3",
+         "entropy.inner: must be < every entry of ns"),
+    ], ids=["twopoint-default-distances", "twopoint-distance-4",
+            "spinwave-inner-4", "entropy-inner-6"])
+    def test_inconsistent_fields_are_config_error(self, tmp_path, capsys, name,
+                                                  body, edge, message):
+        # these configs reached the runner and exited 1 before
+        head = "[experiment]\nname = %s\nout = %s\n\n[%s]\n" % (
+            name, tmp_path / "out", name)
+        load_config(write_config(tmp_path / "edge.ini", head + edge + "\n"))
+        p = write_config(tmp_path / "c.ini", head + body + "\n")
+        assert main(["run", "--config", p]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("distances", ["0,1,2,4,8", "-1,2"])
     def test_twopoint_nonpositive_distance_is_config_error(self, tmp_path, capsys,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import iv
 
 from spinlab import lattice
-from spinlab.interaction import PairPotential, absval, aizenman, decompose, xy
+from spinlab.interaction import PairPotential, absval, aizenman, decompose, logsing, xy
 from spinlab.layer_measure import (
     CircleDensity,
     OrbitConfiguration,
@@ -144,6 +145,33 @@ class TestFourierPath:
         for k in range(5):
             w = layer_potential(k, orbit, absval(), grid_size=m)
             assert np.array_equal(w, _tabulated(k, orbit, absval(), m))
+
+    @pytest.mark.parametrize("n", [5, 32, 40])
+    @pytest.mark.parametrize("make", [absval, logsing])
+    def test_blocked_tabulation_is_bitwise(self, make, n):
+        # blocks of bonds sum in the one-shot table's order; layer k has
+        # 8k + 4 bonds, never a multiple of the block size, in one block up
+        # to k = 3 and in up to 11 blocks at k = 40
+        pot = make()
+        orbit = OrbitConfiguration.random(n, np.random.default_rng(24 + n))
+        for k in range(n + 1):
+            w = layer_potential(k, orbit, pot, grid_size=1024)
+            assert np.array_equal(w, _tabulated(k, orbit, pot, 1024))
+
+    def test_memory_budget(self):
+        # blocks of 32 bonds peak near 1.2 MB at every k of n = 32, grid
+        # 1024; the one-shot (bonds x grid) table took about 6.9 MB at k = 32
+        orbit = OrbitConfiguration.random(32, np.random.default_rng(25))
+        tracemalloc.start()
+        try:
+            peak = 0
+            for k in range(33):
+                tracemalloc.reset_peak()
+                layer_potential(k, orbit, absval(), grid_size=1024)
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 class TestCircleDensity:

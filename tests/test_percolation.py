@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,50 @@ from spinlab.percolation import (
     sparseness_certificate,
     wilson_interval,
 )
+
+
+def _listed_box_bonds(n):
+    """The box's bonds built as a list of tuples: the order oracle for the
+    endpoint array of `box_bonds`."""
+    bonds = []
+    for x in range(-n, n + 1):
+        for y in range(-n, n + 1):
+            if y < n:
+                bonds.append(((x, y), (x, y + 1)))
+            if x < n:
+                bonds.append(((x, y), (x + 1, y)))
+    return bonds
+
+
+def _bond_tuples(n):
+    """The rows of `box_bonds(n)` as canonical bond tuples."""
+    return [((x, y), (x1, y1)) for x, y, x1, y1 in box_bonds(n).tolist()]
+
+
+class TestBoxBonds:
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 50, 64])
+    def test_rows_in_listed_order(self, n):
+        domain = box_bonds(n)
+        assert domain.shape == (4 * n * (2 * n + 1), 4)
+        assert domain.dtype == np.int32
+        listed = _listed_box_bonds(n)
+        assert _bond_tuples(n) == listed == sorted(listed)
+        assert all(canonical_bond(u, v) == (u, v) for u, v in listed)
+
+    def test_rejects_negative_radius(self):
+        with pytest.raises(ValueError):
+            box_bonds(-1)
+
+    def test_memory_budget(self):
+        # the endpoint array and one sample at n = 64 peak near 1.8 MB; the
+        # 33,024 bond tuples and their sample took about 6.8 MB
+        tracemalloc.start()
+        try:
+            sample_bernoulli(0.01, box_bonds(64), seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
 
 class TestSampling:
@@ -43,17 +88,19 @@ class TestSampling:
         c = sample_bernoulli(0.3, domain, seed=43)
         assert a.bonds != c.bonds
 
-    @pytest.mark.parametrize("n", [1, 4, 16, 64])
-    @pytest.mark.parametrize("eps", [0.01, 0.3])
+    @pytest.mark.parametrize("n", [0, 1, 4, 16, 64])
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.3, 0.9])
     def test_same_draw_as_sorted_domain(self, n, eps):
-        # the reference sorts the domain and zips it with the uniforms;
-        # box_bonds comes sorted, so the draws agree bond for bond
-        domain = box_bonds(n)
-        assert domain == sorted(domain)
+        # the reference sorts the list-built bonds and zips them with the
+        # same uniforms; the array lists its rows sorted, so the draws agree
+        # bond for bond
+        listed = sorted(_listed_box_bonds(n))
         for seed in range(5):
-            u = np.random.default_rng(seed).random(len(domain))
-            reference = {b for b, v in zip(sorted(domain), u) if v < eps}
-            assert sample_bernoulli(eps, domain, seed).bonds == reference
+            u = np.random.default_rng(seed).random(len(listed))
+            reference = {b for b, v in zip(listed, u) if v < eps}
+            bonds = sample_bernoulli(eps, box_bonds(n), seed).bonds
+            assert bonds == reference
+            assert all(type(c) is int for b in bonds for site in b for c in site)
 
 
 def tall_rect():
@@ -155,13 +202,13 @@ class TestDisjointCrossings:
     def test_site_count_matches_node_connectivity(self, seed):
         rect = shell_rectangles(3)["E"]
         rng = np.random.default_rng(100 + seed)
-        a = {b for b in box_bonds(8) if rng.random() < 0.05}
+        a = {b for b in _bond_tuples(8) if rng.random() < 0.05}
         assert disjoint_good_crossings(rect, a).count == self._node_connectivity(rect, a)
 
     def test_structural_validation_runs(self):
         # emitted crossings are validated on construction; just exercise it
         rng = np.random.default_rng(0)
-        a = {b for b in box_bonds(16) if rng.random() < 0.03}
+        a = {b for b in _bond_tuples(16) if rng.random() < 0.03}
         for rect in shell_rectangles(3).values():
             cs = disjoint_good_crossings(rect, a)
             for p in cs.paths:
@@ -171,7 +218,7 @@ class TestDisjointCrossings:
     def test_monotone_in_a(self, seed):
         rect = shell_rectangles(3)["N"]
         rng = np.random.default_rng(50 + seed)
-        u = {b: rng.random() for b in box_bonds(8)}
+        u = {b: rng.random() for b in _bond_tuples(8)}
         small = {b for b, v in u.items() if v < 0.03}
         large = {b for b, v in u.items() if v < 0.10}
         assert small <= large
@@ -233,7 +280,7 @@ class TestSparseness:
     @pytest.mark.parametrize("seed", range(3))
     def test_structural_validation(self, seed):
         rng = np.random.default_rng(seed)
-        a = {b for b in box_bonds(16) if rng.random() < 0.04}
+        a = {b for b in _bond_tuples(16) if rng.random() < 0.04}
         cert = sparseness_certificate(a, n=16, rho=0.5, alpha=0.1)
         used = set()
         for _, circ in cert.circuits:
@@ -246,7 +293,7 @@ class TestSparseness:
 
     def test_monotone_value(self):
         rng = np.random.default_rng(9)
-        u = {b: rng.random() for b in box_bonds(16)}
+        u = {b: rng.random() for b in _bond_tuples(16)}
         small = {b for b, v in u.items() if v < 0.01}
         large = {b for b, v in u.items() if v < 0.06}
         cs = sparseness_certificate(small, 16, 0.5, 0.1)
