@@ -341,17 +341,16 @@ class ConnectivityBound:
         return float(self.grid.sum())
 
 
-def connectivity_bound(walk: WalkKernel, eps: float, n_terms: int = None,
+def connectivity_bound(walk: WalkKernel, eps: float,
                        radius: int = None) -> ConnectivityBound:
-    """d_eps = sum over n >= 1 of eps^n j^(n), truncated after n_terms.
+    """d_eps = sum over n >= 1 of eps^n j^(n), truncated where eps^N < 1e-12.
 
     The truncation error in total mass is at most eps^(N+1)/(1-eps), plus
     whatever leaks past the working radius (reported through `total`).
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if n_terms is None:
-        n_terms = max(4, math.ceil(math.log(1e-12) / math.log(eps)))
+    n_terms = max(4, math.ceil(math.log(1e-12) / math.log(eps)))
     if radius is None:
         radius = min(walk.radius * n_terms, 256)
     j = walk.grid_values(radius)
@@ -462,8 +461,8 @@ def _fit_model(u, vals):
     return coef[1], float(np.sqrt(np.mean(resid ** 2)) / spread)
 
 
-def recurrence_classify(walk: WalkKernel, ladder=None) -> RecurrenceReport:
-    """Recurrence verdict from the I(rho) ladder.
+def recurrence_classify(walk: WalkKernel) -> RecurrenceReport:
+    """Recurrence verdict from the I(rho) ladder of `default_ladder`.
 
     Transient when the last relative increment shows Cauchy convergence;
     recurrent when the tail of the ladder fits a + b log(1/rho) (or grows
@@ -471,11 +470,7 @@ def recurrence_classify(walk: WalkKernel, ladder=None) -> RecurrenceReport:
     is inconclusive.  A finite ladder cannot prove either property, so the
     thresholds are part of the contract, not of the mathematics.
     """
-    if ladder is None:
-        ladder = default_ladder(walk)
-    ladder = list(ladder)
-    if len(ladder) < 4:
-        raise ValueError("need at least 4 ladder rungs")
+    ladder = default_ladder(walk)
     try:
         values = truncated_integrals(walk, ladder)
     except ArithmeticError as exc:

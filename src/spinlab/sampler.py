@@ -377,26 +377,24 @@ def tune_width(cfg, pot, bc, rng, stencil) -> float:
 
 
 def run_chain(pot: PairPotential, bc: BoundaryCondition, n: int, sweeps: int,
-              seed: int, observables: dict = None, burn: int = None,
-              init: SpinConfiguration = None,
+              seed: int, observables: dict = None, init: SpinConfiguration = None,
               callback: Callable = None) -> ChainStats:
     """Sample the finite-volume state and record observable traces.
 
     Free boundary conditions get an extra global-rotation move per sweep
     (energy-invariant, so always accepted) to average exactly over the
-    symmetry orbit.  `callback(cfg, stencil)` runs after each recorded sweep,
-    with the chain's sweep state.
+    symmetry orbit.  The recorded sweeps follow max(200, sweeps // 10)
+    burn-in sweeps.  `callback(cfg, stencil)` runs after each recorded
+    sweep, with the chain's sweep state.
     """
     rng = np.random.default_rng(seed)
     stencil = _Stencil(n, bc)
     cfg = initial_configuration(bc, n, rng) if init is None else init
     width = tune_width(cfg, pot, bc, rng, stencil)
-    if burn is None:
-        burn = max(200, sweeps // 10)
     observables = observables or {}
     traces = {name: [] for name in observables}
     accepted = 0
-    for t in range(-burn, sweeps):  # burn-in at t < 0
+    for t in range(-max(200, sweeps // 10), sweeps):  # burn-in at t < 0
         acc = metropolis_sweep(cfg, pot, bc, width, rng, stencil)
         if bc.kind == "free":
             cfg.grid[1:-1, 1:-1] = wrap_angle(
@@ -510,14 +508,17 @@ class FeasibilityCertificate:
     G is the box plus R', the ring sites with an interior neighbour; D is
     its graph distance.  As 4 theta < 2 pi, no plaquette of a finite-energy
     configuration carries a vortex, so the configuration lifts to a real
-    theta-Lipschitz function for D.  Consecutive sites of R' lie at distance
-    <= 3 and 3 theta + 2 delta < pi, so the ring data lift by
-    nearest-representative steps, uniquely up to 2 pi (a winding ring fails
-    the pairwise test on its closing step).  On the real line the arcs
-    [c - delta, c + delta] admit a theta-Lipschitz choice iff every pair
-    does (the lower envelope is one), and McShane's extension carries it to
-    all of G.  `lower` and `upper` are the envelopes: the least and greatest
-    lifted value of each site over finite-energy configurations.
+    theta-Lipschitz function for D, with site i of R' at c_i + 2 pi m_i + t_i
+    for an integer winding m_i and |t_i| <= delta.  For fixed windings the
+    arcs admit a theta-Lipschitz choice iff every pair does (the lower
+    envelope is one), and McShane's extension carries it to all of G.  Pair
+    compatibility reads m_i - m_j <= floor((theta D + 2 delta - c_i + c_j) /
+    2 pi): difference constraints, solvable iff their graph has no negative
+    cycle, with the shortest-path distances from one site as a solution
+    (Cormen et al., Introduction to Algorithms, 24.4).  `lower` and `upper`
+    are the envelopes for that winding: the least and greatest lifted value
+    of each site over its finite-energy configurations.  "uniquely-rigid"
+    means one winding up to a common shift and envelopes meeting on the box.
     """
 
     verdict: str  # feasible | infeasible | uniquely-rigid
@@ -555,20 +556,23 @@ def feasibility(bc: BoundaryCondition, theta: float, n: int) -> FeasibilityCerti
 def _certify(cfg: SpinConfiguration, delta: float, theta: float) -> FeasibilityCertificate:
     """Certificate for arcs of half-width delta around the values of `cfg`
     on R'; the witness is `cfg` with G at the lower envelope."""
-    if 3 * theta + 2 * delta >= math.pi:
-        raise ValueError("the ring lifts uniquely only for 3 theta + 2 delta < pi")
+    if theta >= math.pi / 2:
+        raise ValueError("a plaquette can carry a vortex unless theta < pi/2")
     n = cfg.n
     sites, anchor, e = _lift_graph(n)
     at = (sites[:, 0] + n + 1, sites[:, 1] + n + 1)
     centres = cfg.grid[at][e == 1]
-    step = np.roll(centres, -1) - centres
-    turns = np.rint((wrap_angle(step) - step) / TWO_PI)
-    lifted = centres + TWO_PI * np.concatenate([[0.0], np.cumsum(turns[:-1])])
     ring = np.flatnonzero(e)
     reach = theta * _distance(anchor, e, np.arange(len(sites))[:, None], ring)
+    # dist[j, i]: the bound on m_i - m_j, closed over paths from j to i;
     # 1e-12 keeps exactly compatible pairs compatible despite roundoff
-    if np.any(np.abs(lifted[:, None] - lifted) > reach[ring] + 2 * delta + 1e-12):
+    dist = np.floor((reach[ring] + 2 * delta + 1e-12
+                     - (centres - centres[:, None])) / TWO_PI)
+    for k in range(len(dist)):
+        np.minimum(dist, dist[:, k, None] + dist[None, k], out=dist)
+    if np.any(np.diagonal(dist) < 0):  # a negative cycle
         return FeasibilityCertificate("infeasible", None, None, None)
+    lifted = centres + TWO_PI * dist[0]
     lower = (lifted - delta - reach).max(axis=1)
     upper = (lifted + delta + reach).min(axis=1)
     witness = SpinConfiguration(n, cfg.grid.copy())
@@ -576,7 +580,7 @@ def _certify(cfg: SpinConfiguration, delta: float, theta: float) -> FeasibilityC
     bad = hardcore_violations(witness, aizenman(theta), fixed_bc())  # bonds with an interior end
     if bad:
         raise RuntimeError(f"lower envelope breaks the hard core on {bad} bonds")
-    rigid = np.all((upper - lower)[e == 0] < 1e-9)
+    rigid = np.all(dist[0] + dist[:, 0] == 0) and np.all((upper - lower)[e == 0] < 1e-9)
     return FeasibilityCertificate("uniquely-rigid" if rigid else "feasible",
                                   witness, lower, upper)
 

@@ -310,12 +310,12 @@ class EntropyReport:
 
 def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
                      psi: float, samples: int, seed: int,
-                     c1: float = 1.0, r_delta: int = None) -> EntropyReport:
+                     r_delta: int = None) -> EntropyReport:
     """Monte Carlo average of the entropy bound over A ~ Q_{J,eps}.
 
-    The coupling J is the walk kernel itself; the analytic comparison value
-    for the cluster terms replaces the connectivity probability by its d_eps
-    upper bound.
+    The coupling J is the walk kernel itself, and the bound is taken with
+    c1 = 1; the analytic comparison value for the cluster terms replaces the
+    connectivity probability by its d_eps upper bound.
     """
     wave = solve_spinwave(walk, n, inner, psi, eps=eps)
     j_grid = walk.grid_values(min(walk.radius, wave.margin))
@@ -332,7 +332,7 @@ def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
             vals.append(0.0)
             cluster_vals.append(0.0)
             continue
-        est = entropy_bound(dw, form, c1)
+        est = entropy_bound(dw, form, 1.0)
         vals.append(est.value)
         cluster_vals.append(est.term_cluster_x + est.term_cluster_y)
     vals = np.asarray(vals)
@@ -340,7 +340,7 @@ def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
     half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
     # cluster comparison: Q(x <-> y) <= d_eps(x - y), hence the cluster terms
     # are bounded by 6 c1 times the d_eps quadratic form of the smooth wave
-    comparison = 6.0 * c1 * dirichlet_energy(wave)
+    comparison = 6.0 * dirichlet_energy(wave)
     return EntropyReport(samples, mean, (mean - half, mean + half),
                          gated / samples, float(np.mean(cluster_vals)),
                          comparison)

@@ -443,6 +443,26 @@ sweeps = 64
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["metrics"]["violations"] == 0
 
+    def test_wide_arcs_infeasible_smeared_staircase(self, tmp_path, capsys):
+        # 3 theta + 2 delta > pi: the certificate still gives its verdict,
+        # infeasible, and the run ends on the empty conditional measure
+        p = write_config(tmp_path / "c.ini", """
+[experiment]
+name = aizenman
+out = %s
+
+[aizenman]
+k = 12
+delta = 0.8
+sigma = 2
+n = 1
+sweeps = 64
+""" % (tmp_path / "out"))
+        assert main(["run", "--config", p]) == 1
+        err = capsys.readouterr().err
+        assert "no finite-energy configuration" in err
+        assert "lifts uniquely" not in err
+
     def test_logsing_decomposition_refused(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.ini", """
 [experiment]

@@ -310,10 +310,13 @@ class TestConnectivityBound:
 
     def test_truncation_error_formula(self):
         w = normalize(nn_kernel())
-        d = connectivity_bound(w, 0.3, n_terms=6)
+        d = connectivity_bound(w, 0.3)
         assert d.total <= d.c_bound
-        # the terms past n_terms carry at most eps^(n_terms + 1)/(1 - eps)
-        assert d.c_bound - d.total <= 0.3 ** 7 / 0.7 + 1e-9
+        # N = 23 terms bring 0.3^N below 1e-12; the terms past N carry
+        # eps^(N + 1)/(1 - eps), all of it here, since n <= N steps of the
+        # nn walk stay inside the radius N
+        assert d.radius == 23
+        assert d.c_bound - d.total == pytest.approx(0.3 ** 24 / 0.7, rel=1e-3)
 
     def test_rejects_bad_eps(self):
         w = normalize(nn_kernel())
@@ -372,8 +375,6 @@ class TestRecurrence:
 
     def test_rejects_bad_ladder(self):
         w = normalize(nn_kernel())
-        with pytest.raises(ValueError):
-            recurrence_classify(w, ladder=[0.5, 0.25, 0.125])
         with pytest.raises(ValueError):
             truncated_integrals(w, [0.1, 0.2, 0.05, 0.01])
 

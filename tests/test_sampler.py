@@ -159,7 +159,7 @@ class TestLocalFieldSweep:
         # run_chain updates its start in place
         start = (initial_configuration(bc, 6, np.random.default_rng(80))
                  if init is None else SpinConfiguration(init.n, init.grid.copy()))
-        run_chain(pot, bc, 6, 300, seed=8, burn=0, init=start)
+        run_chain(pot, bc, 6, 300, seed=8, init=start)
         monkeypatch.undo()
         return counts, start.grid
 
@@ -474,12 +474,14 @@ class TestRotationDiscrepancy:
         assert large.discrepancy < small.discrepancy
 
 
-def brute_force_feasible(values, k, j):
-    """Transfer-matrix verdict at n = 1 with angles in (2pi/k)Z: ring values
-    `values` (in Z_k, in R' order) with arcs of j steps, every bond within
-    one step.  Columns x = -1, 0, 1 of the box are swept left to right; a
-    column state is its three values, and the states reachable from the
-    left are the previous ones grown by one step in each coordinate."""
+def brute_force_count(values, k, j):
+    """Transfer-matrix count at n = 1 of the box configurations in
+    (2pi/k)Z: ring values `values` (in Z_k, in R' order) with arcs of j
+    steps, every bond within one step.  Columns x = -1, 0, 1 of the box are
+    swept left to right; a column state is its three values, and the number
+    of ways to reach it from the left sums the previous counts over the
+    states one step away in each coordinate.  The configuration is feasible
+    iff the count is positive."""
     ring = dict(zip([p for p in layer_sites(2) if abs(p[0]) != abs(p[1])], values))
     v = np.arange(k)
     col = np.meshgrid(v, v, v, indexing="ij")  # values at x2 = -1, 0, 1
@@ -490,19 +492,20 @@ def brute_force_feasible(values, k, j):
 
     # a ring site with an arc of j steps, one bond from its interior
     # neighbour, leaves that neighbour the values within j + 1 steps
-    reach = None
+    count = None
     for x in (-1, 0, 1):
         ok = near(col[0], col[1], 1) & near(col[1], col[2], 1)
         ok &= near(col[2], ring[(x, 2)], j + 1) & near(col[0], ring[(x, -2)], j + 1)
         if x != 0:
             for y in (-1, 0, 1):
                 ok &= near(col[y + 1], ring[(2 * x, y)], j + 1)
-        if reach is not None:
+        if count is None:
+            count = ok.astype(np.int64)
+        else:
             for axis in range(3):
-                reach = reach | np.roll(reach, 1, axis) | np.roll(reach, -1, axis)
-            ok &= reach
-        reach = ok
-    return bool(reach.any())
+                count = count + np.roll(count, 1, axis) + np.roll(count, -1, axis)
+            count *= ok
+    return int(count.sum())
 
 
 def ring_configuration(values, theta, n=1):
@@ -515,15 +518,15 @@ def ring_configuration(values, theta, n=1):
     return cfg
 
 
-def assert_finite_energy(cfg, bc, n):
-    """`cfg` is a grid of radius n with no bond over the cutoff that keeps
-    each ring value inside its arc."""
+def assert_finite_energy(cfg, bc, n, theta=THETA12):
+    """`cfg` is a grid of radius n with no bond over the cutoff theta that
+    keeps each ring value inside its arc."""
     ref = initial_configuration(bc, n, None)
     half = bc.delta if bc.kind == "smeared" else 0.0
     assert cfg.n == n and cfg.grid.shape == ref.grid.shape
     ring = sup_grid(n + 1) == n + 1
     assert np.all(circle_dist(cfg.grid[ring] - ref.grid[ring]) <= half + 1e-12)
-    assert hardcore_violations(cfg, aizenman(THETA12), bc) == 0
+    assert hardcore_violations(cfg, aizenman(theta), bc) == 0
 
 
 class TestFeasibility:
@@ -581,21 +584,33 @@ class TestFeasibility:
     def test_rejects_free_bc_and_wide_cutoffs(self):
         with pytest.raises(ValueError):
             feasibility(free_bc(), THETA12, 2)
-        with pytest.raises(ValueError):  # 3 theta = pi
-            feasibility(staircase_bc(6, 1), 2 * math.pi / 6, 2)
-        with pytest.raises(ValueError):  # 3 theta + 2 delta > pi
-            feasibility(smeared_bc(12, 0.8, 1), THETA12, 2)
+        with pytest.raises(ValueError):  # 4 theta = 2 pi: a plaquette may wind
+            feasibility(staircase_bc(4, 1), math.pi / 2, 2)
+
+    @pytest.mark.parametrize("bc, theta, verdict", [
+        (staircase_bc(6, 1), 2 * math.pi / 6, "uniquely-rigid"),  # 3 theta = pi
+        (smeared_bc(12, 0.8, 1), THETA12, "feasible"),  # 3 theta + 2 delta > pi
+        (smeared_bc(12, 0.8, 2), THETA12, "infeasible")],
+        ids=["staircase-k6", "smeared-sigma1", "smeared-sigma2"])
+    def test_wide_arcs_get_verdicts(self, bc, theta, verdict):
+        cert = feasibility(bc, theta, 2)
+        assert cert.verdict == verdict
+        if cert.witness is not None:
+            assert_finite_energy(cert.witness, bc, 2, theta)
 
     def test_winding_ring_infeasible(self):
         # steps of 0 or 2pi/7 between consecutive ring sites: every
         # consecutive pair is close, but the ring winds once
         values = np.arange(12) * 7 // 12
         theta = 2 * math.pi / 7
-        assert not brute_force_feasible(values, 7, 0)
+        assert brute_force_count(values, 7, 0) == 0
         cert = sampler._certify(ring_configuration(values, theta), 0.0, theta)
         assert cert.verdict == "infeasible"
 
-    @pytest.mark.parametrize("k, j", [(7, 0), (9, 0), (12, 0), (12, 1)])
+    # (5, 0), (6, 0), (7, 1) and (12, 2) have 3 theta + 2 delta >= pi, where
+    # nearest-representative steps no longer lift the ring uniquely
+    @pytest.mark.parametrize("k, j", [(5, 0), (6, 0), (7, 0), (7, 1), (9, 0),
+                                      (12, 0), (12, 1), (12, 2)])
     def test_matches_brute_force_at_n1(self, k, j):
         # the lower envelope of lattice data stays on the lattice, so the
         # verdict on (2pi/k)Z is the verdict on the circle
@@ -608,9 +623,25 @@ class TestFeasibility:
             else:
                 values = (rng.integers(0, k) + np.cumsum(rng.integers(-2, 3, 12))) % k
             cert = sampler._certify(ring_configuration(values, theta), j * theta, theta)
-            assert (cert.verdict != "infeasible") == brute_force_feasible(values, k, j), values
+            assert (cert.verdict != "infeasible") == (brute_force_count(values, k, j) > 0), values
             verdicts.add(cert.verdict)
         assert {"feasible", "infeasible"} <= verdicts
+
+    @pytest.mark.parametrize("values", [
+        # with their counts of lattice configurations
+        [4, 1, 4, 1, 0, 3, 2, 2, 1, 1, 3, 3],  # 2: one envelope, two windings
+        [3, 3, 1, 0, 1, 0, 3, 4, 2, 1, 2, 1],  # 2
+        [4, 0, 1, 2, 2, 2, 1, 0, 4, 3, 3, 3],  # 1: the sigma = 1 staircase
+        [4, 0, 1, 1, 3, 2, 1, 0, 4, 3, 4, 3],  # 1
+        [4, 0, 1, 1, 2, 3, 1, 0, 4, 4, 3, 3]])  # 4
+    def test_uniquely_rigid_iff_one_configuration(self, values):
+        # both envelopes of lattice data and the envelopes of every winding
+        # lie on the lattice, so one lattice configuration means one
+        # configuration on the circle
+        theta = 2 * math.pi / 5
+        cert = sampler._certify(ring_configuration(values, theta), 0.0, theta)
+        assert cert.verdict != "infeasible"
+        assert (cert.verdict == "uniquely-rigid") == (brute_force_count(values, 5, 0) == 1)
 
 
 class TestAizenmanState:
