@@ -1,9 +1,11 @@
 """Symmetric random walks driven by long-range coupling kernels.
 
-The walk with transitions j(x) = J_x is classified through the integral
+The walk with transitions j(x) = J_x is recurrent exactly when the integral
 I(rho) = int over the torus minus a ball of radius rho of d(theta)/(1 - phi),
-phi being the characteristic function; divergence as rho -> 0 means
-recurrence (Spitzer's criterion).  The connectivity walk Y has transitions
+phi being the characteristic function, diverges as rho -> 0 (Spitzer's
+criterion).  Every kernel cut at a finite radius is recurrent, so the verdict
+comes from the tail of the uncut kernel (`_tail_class`), and the I(rho)
+ladder is numeric evidence.  The connectivity walk Y has transitions
 proportional to d_eps(x) = sum over n of eps^n j^(n)(x), whose characteristic
 function is the exact resolvent expression phi (1 - eps) / (1 - eps phi).
 
@@ -42,34 +44,22 @@ from .lattice import KernelConvolution, sup_grid, sup_norm
 DEFAULT_RADIUS = 512
 
 
-def _iterated_log(k: int, x):
-    """log_k with log_1 = log, log_k = log of log_{k-1}."""
-    out = np.log(x)
-    for _ in range(k - 1):
-        out = np.log(out)
-    return out
-
-
-def _log_offset(k: int) -> float:
-    """Shift making log_k(r + offset) positive for every r >= 1."""
-    out = 1.0
-    for _ in range(k):
-        out = math.exp(out)
-    return out
-
-
 @dataclass
 class CouplingKernel:
     """Symmetric coupling J, either per-ring values or an explicit site map.
 
     `rings[r]` is the per-site coupling on the sup-norm ring of radius r
     (index 0 unused); `explicit` maps sites to couplings directly.  Exactly
-    one of the two is set.
+    one of the two is set.  `tail` = (s, a_2, ..., a_p) says that the rings
+    are j(r) = r^-s log_2(r + c_2)^a_2 ... log_p(r + c_p)^a_p (`_tail_rings`)
+    cut at the radius; it is None for a kernel with no such infinite-range
+    form.
     """
 
     name: str
     rings: np.ndarray = None  # type: ignore[assignment]
     explicit: dict = None  # type: ignore[assignment]
+    tail: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
         # an atom at the origin is allowed (lazy walks such as the
@@ -106,7 +96,7 @@ def normalize(kernel: CouplingKernel) -> "WalkKernel":
     if not 0 < z < math.inf:
         raise ValueError("kernel mass must be positive and finite")
     if kernel.rings is not None:
-        out = CouplingKernel(kernel.name, rings=kernel.rings / z)
+        out = CouplingKernel(kernel.name, rings=kernel.rings / z, tail=kernel.tail)
     else:
         out = CouplingKernel(kernel.name,
                              explicit={x: v / z for x, v in kernel.explicit.items()})
@@ -118,54 +108,51 @@ def nn_kernel() -> CouplingKernel:
                                           (0, 1): 1.0, (0, -1): 1.0})
 
 
-def powerlaw_kernel(s: float, radius: int = DEFAULT_RADIUS) -> CouplingKernel:
-    rings = np.zeros(radius + 1)
-    r = np.arange(1, radius + 1)
-    rings[1:] = r.astype(float) ** (-s)
-    return CouplingKernel(f"powerlaw({s})", rings=rings)
-
-
-def logcorr_kernel(p: int = 2, radius: int = DEFAULT_RADIUS,
-                   last_exponent: float = 1.0) -> CouplingKernel:
-    """||x||^-4 log_2||x|| ... log_p||x||, last factor raised to last_exponent.
-
-    Iterated logs are shifted to stay positive on every ring; the shift does
-    not change the tail.
-    """
-    if p < 2:
-        raise ValueError("need p >= 2")
-    rings = np.zeros(radius + 1)
+def _tail_rings(tail, radius: int) -> np.ndarray:
+    """Per-ring couplings r^-s log_2(r + c_2)^a_2 ... log_p(r + c_p)^a_p for
+    tail = (s, a_2, ..., a_p) and 1 <= r <= radius, ring 0 zero: log_k is the
+    k-fold log, and c_k = exp(exp(... 1)), k - 1 exps, keeps it positive on
+    every ring without changing the tail."""
     r = np.arange(1, radius + 1).astype(float)
-    vals = r ** (-4.0)
-    for k in range(2, p + 1):
-        factor = _iterated_log(k, r + _log_offset(k - 1))
-        if k == p:
-            factor = factor ** last_exponent
-        vals = vals * factor
-    rings[1:] = vals
-    tag = f"logcorr({p})" if last_exponent == 1.0 else f"logcorr_eps({p},{last_exponent - 1})"
-    return CouplingKernel(tag, rings=rings)
+    vals = r ** -tail[0]
+    offset = 1.0
+    for k, a in enumerate(tail[1:], start=2):
+        offset = math.exp(offset)
+        factor = r + offset
+        for _ in range(k):
+            factor = np.log(factor)
+        vals = vals * factor ** a
+    return np.append(0.0, vals)
 
 
 def kernel_preset(spec: str, radius: int = DEFAULT_RADIUS) -> CouplingKernel:
-    """Preset parser: nn, powerlaw(s), logcorr(p), logcorr_eps(p, eps).
+    """Preset parser: nn, powerlaw(s) = r^-s (tail (s,)), logcorr(p) =
+    r^-4 log_2 r ... log_p r (tail (4, 1, ..., 1)) and logcorr_eps(p, eps),
+    whose last factor has the power 1 + eps, on the rings up to `radius`.
 
     A kernel whose mass at this radius is not positive and finite, as
     `normalize` needs, is refused too.
     """
     spec = spec.strip()
-    with np.errstate(over="ignore"):
-        if spec == "nn":
-            kernel = nn_kernel()
-        elif spec.startswith("powerlaw(") and spec.endswith(")"):
-            kernel = powerlaw_kernel(_finite(spec[9:-1]), radius)
-        elif spec.startswith("logcorr(") and spec.endswith(")"):
-            kernel = logcorr_kernel(int(spec[8:-1]), radius)
+    if spec == "nn":
+        return nn_kernel()
+    if spec.startswith("powerlaw(") and spec.endswith(")"):
+        s = _finite(spec[9:-1])
+        name, tail = f"powerlaw({s})", (s,)
+    else:
+        if spec.startswith("logcorr(") and spec.endswith(")"):
+            p, last = int(spec[8:-1]), 1.0
         elif spec.startswith("logcorr_eps(") and spec.endswith(")"):
             p, eps = spec[12:-1].split(",")
-            kernel = logcorr_kernel(int(p), radius, last_exponent=1.0 + _finite(eps))
+            p, last = int(p), 1.0 + _finite(eps)
         else:
             raise ValueError(f"unknown kernel preset: {spec}")
+        if p < 2:
+            raise ValueError("need p >= 2")
+        name = f"logcorr({p})" if last == 1.0 else f"logcorr_eps({p},{last - 1})"
+        tail = (4.0,) + (1.0,) * (p - 2) + (last,)
+    with np.errstate(over="ignore"):
+        kernel = CouplingKernel(name, rings=_tail_rings(tail, radius), tail=tail)
         mass = kernel.total()
     if not 0 < mass < math.inf:
         raise ValueError(f"kernel preset {spec!r} has mass {mass} at radius {radius}")
@@ -191,6 +178,11 @@ class WalkKernel:
     @property
     def radius(self) -> int:
         return self.kernel.radius
+
+    @property
+    def tail(self):
+        """The tail exponents of the infinite-range kernel, or None."""
+        return self.kernel.tail
 
     def char_function(self, theta: np.ndarray) -> np.ndarray:
         """phi(theta) = sum_x cos(theta . x) j(x); theta of shape (..., 2)."""
@@ -307,6 +299,11 @@ class YWalkKernel(WalkKernel):
 
     def _resolvent(self, phi):
         return phi * (1.0 - self.eps) / (1.0 - self.eps * phi)
+
+    @property
+    def tail(self):
+        # 1 - phi_Y = (1 - phi) / (1 - eps phi): the base's class
+        return self.base.tail
 
     def gap(self, theta: np.ndarray) -> np.ndarray:
         # 1 - phi_Y = (1 - phi) / (1 - eps phi), from the base's gap
@@ -445,7 +442,8 @@ def truncated_integrals(walk: WalkKernel, ladder) -> list:
 
 def default_ladder(walk: WalkKernel):
     """Ten geometric rungs from 1/2 down to the truncation scale, finished by
-    two quarter-octave rungs that make the Cauchy increment test sharp."""
+    two quarter-octave rungs.  The ladder gives numeric evidence beside the
+    verdict; the verdict itself comes from the kernel's tail."""
     lo = 1.0 / (4.0 * walk.radius)
     ratio = (lo / 0.5) ** (1.0 / 9)
     out = [0.5 * ratio ** i for i in range(10)]
@@ -453,47 +451,42 @@ def default_ladder(walk: WalkKernel):
     return out
 
 
-def _fit_model(u, vals):
-    a = np.vstack([np.ones_like(u), u]).T
-    coef, *_ = np.linalg.lstsq(a, vals, rcond=None)
-    resid = vals - a @ coef
-    spread = max(np.max(vals) - np.min(vals), 1e-300)
-    return coef[1], float(np.sqrt(np.mean(resid ** 2)) / spread)
+def _tail_class(tail) -> str:
+    """Spitzer's test for the infinite-range kernel with this tail.
+
+    With G(L) the second moment of j truncated at L, 1 - phi(theta) is
+    comparable to |theta|^2 G(1/|theta|), so the walk is recurrent exactly
+    when dL / (L G(L)) has a divergent integral.  G grows like L^(4 - s) for
+    2 < s < 4 and is bounded for s > 4; at s = 4, G(e^u) is comparable to
+    u (log u)^a_2 ... (log_(p-1) u)^a_p, and Bertrand's series decides by the
+    first exponent that is not 1.  Finite range (no tail; Chung-Fuchs) and
+    s <= 2 (infinite mass uncut, so only the cut walk exists) are recurrent.
+    """
+    if tail is None or not 2 < tail[0] <= 4:
+        return "recurrent"
+    first = next((a for a in tail[1:] if a != 1), 1.0)
+    return "transient" if tail[0] < 4 or first > 1 else "recurrent"
 
 
 def recurrence_classify(walk: WalkKernel) -> RecurrenceReport:
-    """Recurrence verdict from the I(rho) ladder of `default_ladder`.
-
-    Transient when the last relative increment shows Cauchy convergence;
-    recurrent when the tail of the ladder fits a + b log(1/rho) (or grows
-    faster) with small relative residual and positive slope; everything else
-    is inconclusive.  A finite ladder cannot prove either property, so the
-    thresholds are part of the contract, not of the mathematics.
+    """Verdict of the walk's tail (`_tail_class`), the same at every radius,
+    with the I(rho) ladder of `default_ladder` and its fit of
+    a + b log(1/rho) as numeric evidence.  A periodic walk, whose 1 - phi
+    vanishes away from the origin, gets its verdict, `periodic` and no
+    integrals.
     """
+    verdict = _tail_class(walk.tail)
     ladder = default_ladder(walk)
     try:
         values = truncated_integrals(walk, ladder)
     except ArithmeticError as exc:
-        return RecurrenceReport(ladder, [], "inconclusive",
-                                {"error": str(exc)}, periodic=True)
+        return RecurrenceReport(ladder, [], verdict, {"error": str(exc)}, periodic=True)
     rel_inc = (values[-1] - values[-2]) / values[-1]
-    u = np.log(1.0 / np.asarray(ladder))
-    window = slice(len(ladder) // 2, None)
-    slope, resid = _fit_model(u[window], np.asarray(values)[window])
-    fit = {"slope": float(slope), "residual": resid, "last_rel_increment": rel_inc}
-    if rel_inc < 0.005:
-        verdict = "transient"
-    elif resid < 0.02 and slope > 0:
-        verdict = "recurrent"
-    else:
-        # growth faster than logarithmic also certifies divergence: the
-        # increments per rung must then be nondecreasing in log scale
-        inc = np.diff(np.asarray(values)[window])
-        du = np.diff(u[window])
-        rates = inc / du
-        if np.all(np.diff(rates) > 0):
-            verdict = "recurrent"
-            fit["superlogarithmic"] = True
-        else:
-            verdict = "inconclusive"
+    # least squares a + b log(1/rho) on the lower half of the ladder
+    u = np.log(1.0 / np.asarray(ladder))[len(ladder) // 2:]
+    v = np.asarray(values)[len(ladder) // 2:]
+    design = np.vstack([np.ones_like(u), u]).T
+    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    resid = np.sqrt(np.mean((v - design @ coef) ** 2)) / max(np.max(v) - np.min(v), 1e-300)
+    fit = {"slope": float(coef[1]), "residual": float(resid), "last_rel_increment": rel_inc}
     return RecurrenceReport(ladder, values, verdict, fit)

@@ -593,6 +593,10 @@ def feasible_point(cert: FeasibilityCertificate, theta: float, rng):
     current [lower, upper], which then tightens every other site's bounds by
     theta D.  The fixed values stay pairwise compatible, so by the argument
     of `FeasibilityCertificate` no bounds ever cross.
+
+    The draws keep the ring winding of the certificate's envelope (`dist[0]`
+    in `_certify`), so a ring with several feasible windings, such as the
+    k = 5 ring [4,1,4,1,0,3,2,2,1,1,3,3], never yields the others.
     """
     if cert.verdict == "infeasible":
         return None

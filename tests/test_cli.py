@@ -401,6 +401,28 @@ radius = 128
         assert ("recurrence.kernel: kernel preset 'powerlaw(-115)' has mass inf "
                 "at radius 512") in err
 
+    @pytest.mark.parametrize("kernel, radius", [("logcorr(3)", 512), ("powerlaw(-115)", 128)])
+    def test_recurrence_verdict_from_the_tail(self, tmp_path, kernel, radius):
+        # logcorr(3) is recurrent by Bertrand's series at s = 4; powerlaw(-115)
+        # has infinite mass uncut, so only its truncated, recurrent walk exists
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "c.ini", "[experiment]\nname = recurrence\nout = %s\n\n"
+                         "[recurrence]\nkernel = %s\nradius = %d\n" % (out, kernel, radius))
+        assert main(["run", "--config", p]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["metrics"]["verdict"] == "recurrent"
+        assert main(["verify", "--manifest", str(out / "manifest.json")]) == 0
+
+    def test_recurrence_without_integrals_fails(self, tmp_path):
+        # a periodic walk gets its verdict but writes no I(rho) ladder
+        table, summary = tmp_path / "recurrence.csv", tmp_path / "summary.json"
+        table.write_text("rho,integral,experiment,config_hash,seed\n")
+        summary.write_text(json.dumps({"metrics": {"verdict": "recurrent"}}))
+        ok, detail = cli._check_recurrence({"recurrence.csv": str(table),
+                                            "summary.json": str(summary)})
+        assert not ok
+        assert detail == "verdict recurrent"
+
     @pytest.mark.parametrize("name, key", sorted(
         (name, key) for name, exp in EXPERIMENTS.items()
         for key, (parse, *_) in exp.params.items() if parse is _int_list))

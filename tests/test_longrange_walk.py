@@ -6,13 +6,12 @@ from scipy.signal import convolve2d
 
 from spinlab.longrange_walk import (
     CouplingKernel,
+    _tail_class,
     connectivity_bound,
     default_ladder,
     kernel_preset,
-    logcorr_kernel,
     nn_kernel,
     normalize,
-    powerlaw_kernel,
     recurrence_classify,
     truncated_integrals,
     y_kernel,
@@ -26,11 +25,11 @@ class TestKernels:
         assert w.kernel.explicit[(0, -1)] == pytest.approx(0.25)
 
     def test_powerlaw_mass(self):
-        w = normalize(powerlaw_kernel(4.0, radius=256))
+        w = normalize(kernel_preset("powerlaw(4.0)", radius=256))
         assert w.kernel.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_logcorr_monotone_tail(self):
-        k = logcorr_kernel(2, radius=128)
+        k = kernel_preset("logcorr(2)", radius=128)
         vals = k.rings[2:]
         assert np.all(np.diff(vals) < 0)
 
@@ -41,6 +40,17 @@ class TestKernels:
         assert "logcorr_eps" in kernel_preset("logcorr_eps(2, 0.5)", radius=64).name
         with pytest.raises(ValueError):
             kernel_preset("mystery")
+
+    def test_preset_tails(self):
+        assert kernel_preset("powerlaw(3.5)", radius=64).tail == (3.5,)
+        assert kernel_preset("logcorr(3)", radius=64).tail == (4.0, 1.0, 1.0)
+        assert kernel_preset("logcorr_eps(2, 0.5)", radius=64).tail == (4.0, 1.5)
+        assert kernel_preset("nn").tail is None
+        w = normalize(kernel_preset("logcorr_eps(3, 0.5)", radius=64))
+        assert w.tail == (4.0, 1.0, 1.5)
+        assert y_kernel(w, 0.2).tail == w.tail
+        with pytest.raises(ValueError):
+            kernel_preset("logcorr(1)")
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -53,7 +63,7 @@ class TestKernels:
     @pytest.mark.parametrize("radius", [3, 8])
     def test_ring_grid_values_site_by_site(self, radius):
         # kernel radius 5: one grid inside it, one reaching past it
-        w = normalize(powerlaw_kernel(3.0, radius=5))
+        w = normalize(kernel_preset("powerlaw(3.0)", radius=5))
         g = w.grid_values(radius)
         assert g.shape == (2 * radius + 1, 2 * radius + 1)
         for x in range(-radius, radius + 1):
@@ -72,7 +82,7 @@ class TestCharFunction:
 
     def test_ring_formula_against_site_sum(self):
         # brute-force oracle: enumerate all sites of a small ring kernel
-        k = powerlaw_kernel(3.0, radius=6)
+        k = kernel_preset("powerlaw(3.0)", radius=6)
         w = normalize(k)
         rng = np.random.default_rng(0)
         thetas = rng.uniform(-math.pi, math.pi, size=(40, 2))
@@ -86,7 +96,7 @@ class TestCharFunction:
         assert np.allclose(w.char_function(thetas), direct, atol=1e-12)
 
     def test_even_and_bounded(self):
-        w = normalize(powerlaw_kernel(4.0, radius=32))
+        w = normalize(kernel_preset("powerlaw(4.0)", radius=32))
         rng = np.random.default_rng(1)
         thetas = rng.uniform(-math.pi, math.pi, size=(100, 2))
         phi = w.char_function(thetas)
@@ -95,14 +105,14 @@ class TestCharFunction:
 
     def test_small_theta_quadratic(self):
         # truncated kernels have finite second moment: 1 - phi ~ c |theta|^2
-        w = normalize(powerlaw_kernel(3.5, radius=64))
+        w = normalize(kernel_preset("powerlaw(3.5)", radius=64))
         t = np.array([1e-3, 1e-3]) / math.sqrt(2)
         g1 = 1.0 - w.char_function(t)
         g2 = 1.0 - w.char_function(t / 2)
         assert g2 / g1 == pytest.approx(0.25, rel=1e-3)
 
     def test_gap_matches_second_moment(self):
-        w = normalize(powerlaw_kernel(4.0, radius=32))
+        w = normalize(kernel_preset("powerlaw(4.0)", radius=32))
         x = np.arange(-32, 33)
         c2 = float(np.sum(w.grid_values() * (x[:, None] ** 2 + x ** 2)))  # sum |x|^2 j(x)
         t = np.array([1e-4, 0.0])
@@ -154,7 +164,7 @@ class TestGap:
         assert np.all(np.abs(y.gap(thetas) - want) <= 1e-13 * want)
 
     def test_shape_follows_theta(self):
-        w = normalize(powerlaw_kernel(3.0, radius=6))
+        w = normalize(kernel_preset("powerlaw(3.0)", radius=6))
         thetas = np.random.default_rng(2).uniform(-1, 1, size=(3, 5, 2))
         assert w.gap(thetas).shape == (3, 5)
         assert w.gap(np.array([0.3, 0.1])).shape == ()
@@ -169,9 +179,9 @@ def _skewed_kernel():
 
 def _walk(spec):
     if spec == "ring":
-        return normalize(powerlaw_kernel(3.0, radius=40))
+        return normalize(kernel_preset("powerlaw(3.0)", radius=40))
     if spec == "logcorr":
-        return normalize(logcorr_kernel(2, radius=16))
+        return normalize(kernel_preset("logcorr(2)", radius=16))
     if spec == "nn":
         return normalize(nn_kernel())
     if spec == "y(nn)":
@@ -282,7 +292,7 @@ class TestChapmanKolmogorov:
         assert two[5, 5] == pytest.approx(2 * 0.0625)
 
     def test_semigroup_property(self):
-        w = normalize(powerlaw_kernel(4.0, radius=3))
+        w = normalize(kernel_preset("powerlaw(4.0)", radius=3))
         g = w.grid_values(12)
         g2 = convolve2d(g, g, mode="same")
         g3a = convolve2d(g2, g, mode="same")
@@ -366,6 +376,39 @@ class TestYKernel:
             assert y.kernel.explicit[(-x[0], -x[1])] == pytest.approx(v)
 
 
+# the class of each walk without its cut, which the verdict must name at
+# every radius
+INFINITE_RANGE = {
+    "nn": "recurrent",
+    "powerlaw(2)": "recurrent",  # infinite mass uncut: only the cut walk exists
+    "powerlaw(3.5)": "transient",
+    "powerlaw(4)": "recurrent",
+    "powerlaw(5)": "recurrent",
+    "logcorr(2)": "recurrent",
+    "logcorr(3)": "recurrent",
+    "logcorr_eps(2, 0.5)": "transient",
+}
+RING_PRESETS = [spec for spec in INFINITE_RANGE if spec != "nn"]
+
+
+def _truncated_second_moment(rings, big_l):
+    """G(L) = sum_x min(|x|^2, L^2) j(x), |x| Euclidean, for a ring kernel.
+
+    Up to the square's symmetries, ring r is four sides of the 2r sites
+    (r, m) with -r < m <= r.  The disc |x| <= L holds no site of the ring
+    for L < r, the sites |m| <= M = floor(sqrt(L^2 - r^2)) < r for
+    r <= L < r sqrt 2, and the whole side, corner m = r included, beyond.
+    """
+    r = np.arange(1, len(rings), dtype=float)
+    full = big_l ** 2 >= 2 * r ** 2
+    part = big_l >= r
+    m = np.where(full, r - 1, np.floor(np.sqrt(np.clip(big_l ** 2 - r ** 2, 0.0, None))))
+    n_in = np.where(part, 2 * m + 1, 0.0) + full
+    sq_in = np.where(part, (2 * m + 1) * r ** 2 + m * (m + 1) * (2 * m + 1) / 3, 0.0)
+    sq_in += full * 2 * r ** 2
+    return float(np.sum(4 * rings[1:] * (sq_in + big_l ** 2 * (2 * r - n_in))))
+
+
 class TestRecurrence:
     def test_monotone_integrals(self):
         w = normalize(nn_kernel())
@@ -384,12 +427,12 @@ class TestRecurrence:
         assert rep.fit["residual"] < 0.02
 
     def test_powerlaw_transient(self):
-        rep = recurrence_classify(normalize(powerlaw_kernel(3.5)))
+        rep = recurrence_classify(normalize(kernel_preset("powerlaw(3.5)")))
         assert rep.verdict == "transient"
         assert rep.fit["last_rel_increment"] < 0.005
 
     def test_logcorr_recurrent(self):
-        rep = recurrence_classify(normalize(logcorr_kernel(2)))
+        rep = recurrence_classify(normalize(kernel_preset("logcorr(2)")))
         assert rep.verdict == "recurrent"
 
     def test_y_kernel_recurrent(self):
@@ -397,16 +440,63 @@ class TestRecurrence:
         rep = recurrence_classify(y_kernel(w, 0.2))
         assert rep.verdict == "recurrent"
 
-    def test_scale_stability(self):
-        for spec, expect in [("powerlaw(3.5)", "transient"),
-                             ("logcorr(2)", "recurrent")]:
-            for radius in (512, 1024):
-                w = normalize(kernel_preset(spec, radius=radius))
-                assert recurrence_classify(w).verdict == expect
+    def test_y_kernel_transient(self):
+        # 1 - phi_Y = (1 - phi) / (1 - eps phi): Y has its base's class
+        w = normalize(kernel_preset("powerlaw(3.5)", radius=32))
+        rep = recurrence_classify(y_kernel(w, 0.2))
+        assert rep.verdict == "transient"
+
+    @pytest.mark.parametrize("radius", [128, 512, 2048])
+    @pytest.mark.parametrize("spec", INFINITE_RANGE)
+    def test_verdict_is_the_infinite_range_class(self, spec, radius):
+        rep = recurrence_classify(normalize(kernel_preset(spec, radius)))
+        assert rep.verdict == INFINITE_RANGE[spec]
+        assert len(rep.values) == len(rep.rhos) == 12
+
+    def test_finite_range_walk_with_infinite_mass_uncut(self):
+        # powerlaw(-115) has finite mass at radius 128 only; that cut walk
+        # has finite range, so it is recurrent (Chung-Fuchs)
+        rep = recurrence_classify(normalize(kernel_preset("powerlaw(-115)", radius=128)))
+        assert rep.verdict == "recurrent"
+
+    @pytest.mark.parametrize("tail, verdict", [
+        (None, "recurrent"), ((-115.0,), "recurrent"), ((2.0,), "recurrent"),
+        ((2.01,), "transient"), ((3.99,), "transient"), ((4.0,), "recurrent"),
+        ((4.01,), "recurrent"), ((4.0, 0.5), "recurrent"), ((4.0, 1.5), "transient"),
+        ((4.0, 1.0, 1.0, 1.0), "recurrent"), ((4.0, 1.0, 1.01), "transient"),
+        ((4.0, 1.0, 0.99, 7.0), "recurrent"), ((4.0, 2.0, 0.0), "transient"),
+    ], ids=str)
+    def test_tail_class(self, tail, verdict):
+        # Bertrand's series at s = 4: the first exponent that is not 1 decides
+        assert _tail_class(tail) == verdict
+
+    def test_truncated_second_moment_site_by_site(self):
+        w = normalize(kernel_preset("powerlaw(3.0)", radius=12))
+        x = np.arange(-12, 13)
+        d2 = x[:, None] ** 2 + x ** 2
+        for big_l in (0.5, 1.0, 3.3, 7.9, 12.0, 16.9, 17.0, 25.0):
+            direct = float(np.sum(np.minimum(d2, big_l ** 2) * w.grid_values()))
+            got = _truncated_second_moment(w.kernel.rings, big_l)
+            assert got == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", RING_PRESETS)
+    def test_gap_comparable_to_truncated_second_moment(self, spec):
+        # Spitzer's comparison 1 - phi(theta) ~ |theta|^2 G(1/|theta|), on
+        # which the tail verdict rests, holds with fixed constants from the
+        # cut scale to the edge of the torus
+        radius = 2048
+        w = normalize(kernel_preset(spec, radius))
+        mags = np.geomspace(2.0 / radius, math.pi, 25)
+        big_g = np.array([_truncated_second_moment(w.kernel.rings, 1.0 / t) for t in mags])
+        for ang in (0.0, math.pi / 8, math.pi / 4):
+            thetas = np.stack([mags * math.cos(ang), mags * math.sin(ang)], axis=1)
+            ratio = w.gap(thetas) / (mags ** 2 * big_g)
+            assert 1 / 8 <= ratio.min() and ratio.max() <= 2, (ratio.min(), ratio.max())
 
     def test_periodic_walk_flagged(self):
         k = CouplingKernel("even", explicit={(2, 0): 1.0, (-2, 0): 1.0,
                                              (0, 2): 1.0, (0, -2): 1.0})
         rep = recurrence_classify(normalize(k))
-        assert rep.verdict == "inconclusive"
+        assert rep.verdict == "recurrent"
         assert rep.periodic
+        assert rep.values == []

@@ -13,7 +13,6 @@ from spinlab.longrange_walk import (
     kernel_preset,
     nn_kernel,
     normalize,
-    powerlaw_kernel,
 )
 from spinlab.spinwave import (
     BoxForm,
@@ -161,7 +160,7 @@ class TestPreconditioner:
         assert max(its) <= 3, its
 
     def test_iterations_flat_in_n_long_range(self):
-        walk = normalize(powerlaw_kernel(3.5, radius=32))
+        walk = normalize(kernel_preset("powerlaw(3.5)", radius=32))
         cgrid = conductance_grid(walk, 0.2, radius=48)
         its = [solve_spinwave(walk, n, 2, math.pi / 4, cgrid=cgrid).iterations
                for n in (16, 32, 64)]
@@ -206,7 +205,7 @@ class TestDirichletEnergy:
         assert energies[2] / energies[1] < 0.85
 
     def test_transient_energy_floor(self):
-        w = normalize(powerlaw_kernel(3.5, radius=32))
+        w = normalize(kernel_preset("powerlaw(3.5)", radius=32))
         cgrid = conductance_grid(w, 0.2, radius=48)
         energies = [dirichlet_energy(solve_spinwave(w, n, 2, math.pi / 4, cgrid=cgrid))
                     for n in (16, 32, 64)]
