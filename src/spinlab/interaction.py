@@ -197,6 +197,27 @@ class SingularDecomposition:
     def second_derivative_bound(self) -> float:
         return second_derivative_bound(self.smooth)
 
+    def upsilon_range(self, grid_size: int) -> tuple[float, float]:
+        """Min and max of upsilon at the 16 grid_size angles -pi + 2 pi k /
+        (16 grid_size), one coset of the grid_size grid at a time.
+
+        Coset r holds k = 16 i + r, i < grid_size: the grid shifted by
+        delta_r = 2 pi r / (16 grid_size).  There the smooth part is P(phi +
+        delta_r), the polynomial whose mode s is turned by e^{i s delta_r},
+        on the grid_size grid; the potential is called at those angles.
+        """
+        fine = 16 * grid_size
+        s = np.arange(1, self.smooth.degree + 1)
+        modes = self.smooth.cos_coeffs - 1j * self.smooth.sin_coeffs
+        base = 16 * np.arange(grid_size)
+        lo, hi = math.inf, -math.inf
+        for r in range(16):
+            rot = modes * np.exp(1j * s * (TWO_PI * r / fine))
+            ups = TrigPolynomial(self.smooth.c0, rot.real, -rot.imag).on_grid(grid_size)
+            ups -= self.original(-math.pi + TWO_PI * (base + r) / fine)
+            lo, hi = min(lo, float(np.min(ups))), max(hi, float(np.max(ups)))
+        return lo, hi
+
 
 def _truncated_fourier(values: np.ndarray, degree: int) -> TrigPolynomial:
     m = len(values)
@@ -214,10 +235,6 @@ def _truncated_fourier(values: np.ndarray, degree: int) -> TrigPolynomial:
     return TrigPolynomial(c0, rot.real.copy(), -rot.imag.copy())
 
 
-def _grid(m: int) -> np.ndarray:
-    return -math.pi + TWO_PI * np.arange(m) / m
-
-
 def decompose(pot: PairPotential, eps: float,
               grid_size: int = 4096) -> SingularDecomposition:
     """Write a potential as U - upsilon with 0 <= upsilon <= eps, checked.
@@ -226,15 +243,16 @@ def decompose(pot: PairPotential, eps: float,
     points doubles in degree until its sup error there is <= eps/2, or up to
     degree grid_size/2, the grid interpolant (the Nyquist mode counted
     once).  Then U = P + max(Ubar - P) over that grid.  Upsilon = U - Ubar
-    is checked on a grid 16 times finer, which contains the first; if it
-    leaves [0, eps] there (up to 1e-9), the potential is too rough for
-    this eps and ValueError is raised.  `logsing` is refused so.
+    is checked on the 16x finer grid one coset of the base grid at a time
+    (:meth:`SingularDecomposition.upsilon_range`); if it leaves [0, eps]
+    there (up to 1e-9), the potential is too rough for this eps and
+    ValueError is raised.  `logsing` is refused so.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if pot.is_hard_core:
         raise ValueError("cannot decompose a hard-core potential")
-    target = pot(_grid(grid_size))
+    target = pot(-math.pi + TWO_PI * np.arange(grid_size) / grid_size)
     if not np.all(np.isfinite(target)):
         raise ValueError("potential is not finite on the grid; clamp it first")
     degree = 1
@@ -246,14 +264,13 @@ def decompose(pot: PairPotential, eps: float,
         degree *= 2
     smooth = TrigPolynomial(poly.c0 + float(np.max(resid)), poly.cos_coeffs,
                             poly.sin_coeffs)
-    fine = 16 * grid_size
-    ups = smooth.on_grid(fine) - pot(_grid(fine))
-    lo, hi = float(np.min(ups)), float(np.max(ups))
+    dec = SingularDecomposition(smooth, pot)
+    lo, hi = dec.upsilon_range(grid_size)
     if not (lo >= -1e-9 and hi <= eps + 1e-9):
         raise ValueError(
             f"upsilon spans [{lo:.4g}, {hi:.4g}] on a grid 16x finer, outside "
             f"[0, {eps:g}]; potential too rough for this eps")
-    return SingularDecomposition(smooth, pot)
+    return dec
 
 
 def verify_condition_51(dec: SingularDecomposition) -> float:
@@ -264,23 +281,34 @@ def verify_condition_51(dec: SingularDecomposition) -> float:
     (phi_2, phi_3, phi_4) on a grid with phi_1 = 0: exhaustive up to
     rotation invariance.  Angles and nodes share one grid, so with E the
     rolls of w the sums for one phi_2 are the matrix (E * E_0 E_{phi_2}) E^T.
+    One preallocated row array holds E, filled by np.roll, and then F, the
+    rolls of the tilted weight; each product E * E_0 E_{phi_2} is written
+    into one reused buffer, and the 32 untilted matrices are kept while F
+    takes E's rows.
     ValueError: an untilted sum below the smallest normal float (xy(J) for
     J above about 180) or a tilted one not finite.
     """
     m, search_points = 2048, 32  # quadrature nodes; boundary angles per axis
     u = dec.smooth.on_grid(m)
     w = np.exp(-(u - np.min(u)))
-    tilted = w * np.exp(u - dec.original(_grid(m)))
-    shifts = np.arange(search_points) * (m // search_points)
-    rolls = (np.arange(m) - shifts[:, None]) % m  # row k is np.roll by shifts[k]
-    e, f = w[rolls], tilted[rolls]
+    tilted = w * np.exp(u - dec.original(-math.pi + TWO_PI * np.arange(m) / m))
+    step = m // search_points
+    rows, buf = np.empty((search_points, m)), np.empty((search_points, m))
+    denom = np.empty((search_points,) * 3)  # untilted sums, by phi_2 first
+    for k in range(search_points):
+        rows[k] = np.roll(w, k * step)
+    for i2 in range(search_points):
+        denom[i2] = np.multiply(rows, rows[0] * rows[i2], out=buf) @ rows.T
+    if not np.all(denom >= np.finfo(float).tiny):
+        raise ValueError("quadrature failure: integrand under- or overflows")
+    for k in range(search_points):
+        rows[k] = np.roll(tilted, k * step)
     worst = 1.0
     for i2 in range(search_points):
-        denom = (e * (e[0] * e[i2])) @ e.T
-        numer = (f * (f[0] * f[i2])) @ f.T
-        if not (np.all(denom >= np.finfo(float).tiny) and np.all(np.isfinite(numer))):
+        numer = np.multiply(rows, rows[0] * rows[i2], out=buf) @ rows.T
+        if not np.all(np.isfinite(numer)):
             raise ValueError("quadrature failure: integrand under- or overflows")
-        worst = max(worst, float(np.max(numer / denom)))
+        worst = max(worst, float(np.max(numer / denom[i2])))
     return worst
 
 

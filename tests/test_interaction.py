@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,25 @@ class TestPotentials:
             potential_preset("bogus(1)")
 
 
+def dense_upsilon_range(dec, grid_size):
+    """Reference [min, max] of upsilon on the 16x finer grid, all 16 *
+    grid_size angles at once: the smooth part by one FFT of that size."""
+    fine = 16 * grid_size
+    ups = dec.smooth.on_grid(fine) - dec.original(
+        -math.pi + 2 * math.pi * np.arange(fine) / fine)
+    return float(np.min(ups)), float(np.max(ups))
+
+
+def traced_peak(fn):
+    """tracemalloc's peak, in bytes, while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDecompose:
     def test_cosine_is_already_trig(self):
         dec = decompose(xy(1.0), eps=0.1)
@@ -175,6 +195,34 @@ class TestDecompose:
         # the degree-2048 interpolant is exact on the grid, not between nodes
         with pytest.raises(ValueError, match="too rough for this eps"):
             decompose(absval(), eps=1e-9)
+
+    @pytest.mark.parametrize("pot, eps, grid", [
+        *[(absval(), eps, grid) for eps in (0.05, 0.25, 0.5) for grid in (256, 4096)],
+        (xy(1.0), 0.1, 4096),
+    ])
+    def test_upsilon_range_matches_dense_reference(self, pot, eps, grid):
+        dec = decompose(pot, eps, grid_size=grid)
+        lo, hi = dec.upsilon_range(grid)
+        ref_lo, ref_hi = dense_upsilon_range(dec, grid)
+        assert lo == pytest.approx(ref_lo, abs=1e-12)
+        assert hi == pytest.approx(ref_hi, abs=1e-12)
+
+    @pytest.mark.parametrize("pot, eps, grid, span", [
+        (logsing(), 0.5, 4096, "[-20.84, 4.978]"),
+        (logsing(), 0.5, 256, "[-23.55, 5.579]"),
+        (absval(), 1e-9, 4096, "[-0.0002902, 0.0002902]"),
+    ])
+    def test_refusal_text(self, pot, eps, grid, span):
+        with pytest.raises(ValueError) as info:
+            decompose(pot, eps, grid_size=grid)
+        assert str(info.value) == (
+            f"upsilon spans {span} on a grid 16x finer, outside [0, {eps:g}]; "
+            "potential too rough for this eps")
+
+    def test_memory_budget(self):
+        # the 16x check one coset at a time peaks near 0.3 MB; the whole
+        # 65,536-angle grid at once took about 2.7 MB
+        assert traced_peak(lambda: decompose(absval(), 0.5, grid_size=4096)) < 1.0e6
 
     @pytest.mark.parametrize("m", [64, 65, 256])
     def test_full_degree_interpolates_grid(self, m):
@@ -302,6 +350,22 @@ class TestCondition51:
         dec = make()
         assert verify_condition_51(dec) == pytest.approx(
             broadcast_condition_51(dec), rel=1e-12)
+
+    @pytest.mark.parametrize("eps, ratio", [
+        (0.5, 2.049050625735067),
+        (0.25, 1.3945458776725452),
+        (0.05, 1.0830679041537048),
+    ])
+    def test_absval_ratio_digits(self, eps, ratio):
+        # the value the decompose51 summary prints, to the last bit
+        assert verify_condition_51(decompose(absval(), eps)) == ratio
+
+    def test_memory_budget(self):
+        # one row array, one product buffer and the 32 untilted matrices
+        # peak near 1.46 MB; the indexed rolls and both weight arrays took
+        # about 2.2 MB
+        dec = decompose(absval(), 0.5, grid_size=4096)
+        assert traced_peak(lambda: verify_condition_51(dec)) < 1.8e6
 
     def test_underflow_raises(self):
         # with the four boundary angles spread out, the untilted sum for
