@@ -394,10 +394,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+_WRITE_SLICE = 1 << 16  # characters per write: the encoded copy stays small
+
+
 def _atomic_write(path: str, text: str):
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        f.write(text)
+        for start in range(0, len(text), _WRITE_SLICE):
+            f.write(text[start:start + _WRITE_SLICE])
     os.replace(tmp, path)
 
 

@@ -34,8 +34,15 @@ class KernelConvolution:
     of one shape, with the kernel transformed once.  Each call takes the same
     steps as fftconvolve (the `next_fast_len` padding, `rfftn` over the axes
     where neither array has length 1, the product in the same order,
-    `irfftn` and the centred slice), so the result is equal bit for bit.  It
-    is returned as a view into the padded inverse transform."""
+    `irfftn` and the centred slice), so the result is equal bit for bit.
+
+    The instance keeps one input buffer of the padded transform shape.  It
+    is zero outside `input`, its corner of shape `shape`, and `input` holds
+    what the last call left there: a call copies v into it unless v is
+    `input` itself, so a caller may fill `input` in place and pass it.  The
+    product with the kernel's transform is formed in place.  The result is a
+    view into the inverse transform of that call, an array `irfftn` makes
+    afresh each time, so a later call leaves it alone."""
 
     def __init__(self, kernel: np.ndarray, shape):
         self._kernel = np.asarray(kernel, dtype=float)
@@ -43,16 +50,27 @@ class KernelConvolution:
         self._axes = [a for a, (s, k) in enumerate(zip(shape, self._kernel.shape))
                       if s != 1 and k != 1]
         self._fshape = [next_fast_len(full[a], True) for a in self._axes]
+        padded = list(shape)
+        for a, f in zip(self._axes, self._fshape):
+            padded[a] = f
         if self._axes:
             self._transform = rfftn(self._kernel, self._fshape, axes=self._axes)
+        self._padded = np.zeros(padded)
+        self.input = self._padded[tuple(slice(0, s) for s in shape)]
         self._centre = tuple(slice((f - s) // 2, (f - s) // 2 + s)
                              for f, s in zip(full, shape))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        if v is not self.input:
+            self.input[...] = v
         if not self._axes:  # nothing to transform: a broadcast product
-            return (v * self._kernel)[self._centre]
-        out = irfftn(rfftn(v, self._fshape, axes=self._axes) * self._transform,
-                     self._fshape, axes=self._axes)
+            return (self.input * self._kernel)[self._centre]
+        f = rfftn(self._padded, axes=self._axes)
+        if f.shape == np.broadcast_shapes(f.shape, self._transform.shape):
+            f *= self._transform
+        else:  # the kernel is wider along an axis that is not transformed
+            f = f * self._transform
+        out = irfftn(f, self._fshape, axes=self._axes, overwrite_x=True)
         return out[self._centre]
 
 

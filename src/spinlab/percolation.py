@@ -27,11 +27,24 @@ def box_bonds(n: int) -> np.ndarray:
     lexicographically, the bond up before the bond to the right."""
     if n < 0:
         raise ValueError("box radius must be >= 0")
-    side = np.arange(-n, n + 1, dtype=np.int32)
-    x, y = (a.ravel() for a in np.meshgrid(side, side, indexing="ij"))
-    ends = np.stack([np.stack([x, y, x, y + 1], axis=1),     # up
-                     np.stack([x, y, x + 1, y], axis=1)], 1)  # right
-    return ends[np.stack([y < n, x < n], axis=1)]
+    # a column x < n lists, for y = -n..n, the bond up and then the bond to
+    # the right, bar the bond up from y = n; the column x = n lists its bonds
+    # up alone.  Each endpoint field is written into the table in place.
+    per = 4 * n + 1
+    slot = np.arange(per, dtype=np.int32)
+    right = (slot % 2 == 1) | (slot == per - 1)
+    y = slot // 2 - n
+    table = np.empty((2 * n * per + 2 * n, 4), dtype=np.int32)
+    head = table[:2 * n * per].reshape(2 * n, per, 4)
+    head[..., 0] = head[..., 2] = np.arange(-n, n, dtype=np.int32)[:, None]
+    head[..., 1] = y
+    head[..., 2] += right
+    head[..., 3] = y + ~right
+    tail = table[2 * n * per:]
+    tail[:, 0] = tail[:, 2] = n
+    tail[:, 1] = np.arange(-n, n, dtype=np.int32)
+    tail[:, 3] = tail[:, 1] + 1
+    return table
 
 
 @dataclass

@@ -17,6 +17,15 @@ whole set of samples, so each kernel is transformed once
 (`lattice.KernelConvolution`).  Sums over the box of a convolution are dot
 products with the kernel's box mass (`BoxForm`): a quadratic form takes one
 convolution, and the cluster terms take none.
+
+The solve's working set is the CG vectors over the free sites, the
+convolution's padded input buffer, the kernel's transform and the sine
+symbol.  The free sites are one boolean mask, in C order, used for both
+scatter and gather: each matvec writes them straight into the convolution's
+input and reads them from the centred view of its result, and the
+preconditioner transforms one box grid in place.  No flat index, per-call
+grid or grid-sized residual is formed, and the field itself is built once,
+after CG.
 """
 
 from __future__ import annotations
@@ -84,29 +93,32 @@ def solve_spinwave(walk: WalkKernel, n: int, inner: int, psi: float,
     k = (cgrid.shape[0] - 1) // 2
     margin = n + k
     sup = sup_grid(margin)
-    free = (sup > inner) & (sup <= n)
-    fixed = np.where(sup <= inner, psi, 0.0)
+    inner_box = sup <= inner
+    free = ~inner_box & (sup <= n)
+    del sup
     c_tot = float(cgrid.sum())
-
-    idx = np.where(free.ravel())[0]
-    shape = fixed.shape
-    convolve = KernelConvolution(cgrid, shape)
+    convolve = KernelConvolution(cgrid, free.shape)
+    grid = convolve.input  # zero off the free sites, except while b is formed
 
     def matvec(u):
-        grid = np.zeros(shape)
-        grid.ravel()[idx] = u
-        return c_tot * u - convolve(grid).ravel()[idx]
+        grid[free] = u
+        g = convolve(grid)[free]
+        out = c_tot * u
+        out -= g
+        return out
 
     side = 2 * n + 1
     spectrum = _sine_symbol(cgrid, side)
     if spectrum.min() <= 0:
         raise ValueError("conductances without a positive symbol on the box")
-    box_idx = np.where(free[k:k + side, k:k + side].ravel())[0]
+    box_free = free[k:k + side, k:k + side]
 
     def precondition(r):
-        grid = np.zeros((side, side))
-        grid.ravel()[box_idx] = r
-        return idstn(dstn(grid, type=1) / spectrum, type=1).ravel()[box_idx]
+        t = np.zeros((side, side))
+        t[box_free] = r
+        t = dstn(t, type=1, overwrite_x=True)
+        t /= spectrum
+        return idstn(t, type=1, overwrite_x=True)[box_free]
 
     iterations = 0
 
@@ -114,14 +126,19 @@ def solve_spinwave(walk: WalkKernel, n: int, inner: int, psi: float,
         nonlocal iterations
         iterations += 1
 
-    b = convolve(fixed).ravel()[idx]
-    op = LinearOperator((len(idx), len(idx)), matvec=matvec)
-    m_op = LinearOperator((len(idx), len(idx)), matvec=precondition)
+    grid[inner_box] = psi
+    b = convolve(grid)[free]
+    grid[inner_box] = 0.0
+    op = LinearOperator((len(b), len(b)), matvec=matvec)
+    m_op = LinearOperator((len(b), len(b)), matvec=precondition)
     u, info = cg(op, b, rtol=tol * 1e-2, atol=0.0, maxiter=10 ** 5, M=m_op,
                  callback=count)
-    values = fixed.copy()
-    values.ravel()[idx] = u
-    res = float(np.max(np.abs(convolve(values) - c_tot * values).ravel()[idx]))
+    values = np.zeros(free.shape)
+    values[inner_box] = psi
+    values[free] = u
+    r = convolve(values)[free]
+    r -= c_tot * u
+    res = float(np.max(np.abs(r)))
     if info != 0 or res > tol * c_tot:
         raise RuntimeError(f"solver did not converge: residual {res:.3e}")
     return SpinWaveField(n, values, margin, cgrid, res, iterations)
@@ -138,8 +155,8 @@ class BoxForm:
     def __init__(self, c: np.ndarray, box: np.ndarray):
         self.box = box
         self.total = float(c.sum())
+        self.box_mass = KernelConvolution(c[::-1, ::-1], box.shape)(box).copy()
         self.convolve = KernelConvolution(c, box.shape)
-        self.box_mass = KernelConvolution(c[::-1, ::-1], box.shape)(box.astype(float))
 
     @cached_property
     def row_mass(self) -> np.ndarray:
@@ -149,10 +166,15 @@ class BoxForm:
 def _quadratic_form(v: np.ndarray, form: BoxForm) -> float:
     """sum over x in the box, y anywhere, of c(x-y)(v(x) - v(y))^2: the box sum
     of C v^2 - 2 v (c * v) + c * v^2, C the kernel's mass, with the last term
-    as the dot product of v^2 with the box mass."""
+    as the dot product of v^2 with the box mass.  The first two terms are
+    formed at the box sites only."""
+    box = form.box
+    g = form.convolve(v)[box]
+    g *= 2.0 * v[box]
     v2 = v * v
-    cross = np.sum((form.total * v2 - 2.0 * v * form.convolve(v))[form.box])
-    return float(cross + np.vdot(v2, form.box_mass))
+    cross = form.total * v2[box]
+    cross -= g
+    return float(np.sum(cross) + np.vdot(v2, form.box_mass))
 
 
 def dirichlet_energy(wave: SpinWaveField) -> float:

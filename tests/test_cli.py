@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,21 @@ sweeps = 100
         leftovers = [f for f in os.listdir(out)] if out.exists() else []
         assert "magnetization.csv" not in leftovers
         assert "summary.json" not in leftovers
+
+    def test_atomic_write_memory_budget(self, tmp_path):
+        # 64 KiB slices peak near 0.14 MB for a 4 MB text; encoding it in one
+        # write took 4 MB
+        text = ("0.123456789012,-3,17\n" * 200_000)[:4_000_000]
+        path = str(tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            cli._atomic_write(path, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2e6
+        with open(path) as f:
+            assert f.read() == text
 
     def test_every_output_written_once_in_full(self, tmp_path, monkeypatch):
         # output bytes are counted from the text `_atomic_write` is handed,

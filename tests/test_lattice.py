@@ -213,12 +213,29 @@ class TestKernelConvolution:
         rng = np.random.default_rng(side * 100 + shape[0])
         kernel = rng.standard_normal((side, side))
         conv = KernelConvolution(kernel, shape)
-        for _ in range(3):  # the kernel's transform is reused
+        results = []
+        for _ in range(3):  # the kernel's transform and the input are reused
             v = rng.standard_normal(shape)
             got = conv(v)
             want = fftconvolve(v, kernel, mode="same")
             assert got.shape == want.shape == shape
             assert np.array_equal(got, want)
+            results.append((got, want))
+        # a later call leaves earlier results alone
+        assert all(np.array_equal(got, want) for got, want in results)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 7), (53, 53)])
+    def test_input_filled_in_place(self, shape):
+        # a caller may scatter into `input` and pass it; the rest of the
+        # buffer holds what the last call left there
+        rng = np.random.default_rng(shape[0])
+        kernel = rng.standard_normal((7, 7))
+        v = rng.standard_normal(shape)
+        conv = KernelConvolution(kernel, shape)
+        conv(rng.standard_normal(shape))
+        conv.input[::2] = v[::2]
+        v[1::2] = conv.input[1::2]
+        assert np.array_equal(conv(conv.input), fftconvolve(v, kernel, mode="same"))
 
     def test_rectangular_kernel_larger_than_grid(self):
         rng = np.random.default_rng(5)

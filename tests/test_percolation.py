@@ -52,15 +52,16 @@ class TestBoxBonds:
             box_bonds(-1)
 
     def test_memory_budget(self):
-        # the endpoint array and one sample at n = 64 peak near 1.8 MB; the
-        # 33,024 bond tuples and their sample took about 6.8 MB
+        # the endpoint array, filled in place, and one sample at n = 64 peak
+        # near 0.93 MB; a per-site endpoint stack and its mask took 1.8 MB,
+        # the 33,024 bond tuples and their sample about 6.8 MB
         tracemalloc.start()
         try:
             sample_bernoulli(0.01, box_bonds(64), seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5e6
+        assert peak < 1.1e6
 
 
 class TestSampling:

@@ -10,12 +10,16 @@ a benchmark run holds.  The benchmark's `peak_rss_mb` is the high-water
 mark of its resident set, `ru_maxrss`.  For each operation the tool prints
 how far that mark rose while the operation ran, summed over the rounds, and
 in how many rounds it rose at all.  An operation that never raises the mark
-cannot lower the benchmark's peak by shrinking.
+cannot lower the benchmark's peak by shrinking.  Where `/proc/self/statm`
+exists, it also prints the median over the rounds of the resident set right
+after the operation, which tells memory the process keeps from a short-lived
+peak.
 """
 
 import argparse
 import os
 import resource
+import statistics
 import sys
 import tempfile
 
@@ -27,6 +31,16 @@ import run as bench  # noqa: E402  (spinbench/run.py, read only)
 
 def high_water_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def resident_mb():
+    """The resident set now, from /proc/self/statm; None where it is absent."""
+    try:
+        with open("/proc/self/statm") as f:
+            pages = int(f.read().split()[1])
+    except OSError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
 
 
 def main(argv=None) -> int:
@@ -48,6 +62,7 @@ def main(argv=None) -> int:
         start = high_water_mb()
         rise = [0.0] * len(ops)
         risen = [0] * len(ops)
+        after = [[] for _ in ops]  # resident set after each run of an op
         kept = None  # the benchmark keeps the first round's captures
         for _ in range(args.rounds):
             for i, (cfg, out) in enumerate(paths):
@@ -57,6 +72,9 @@ def main(argv=None) -> int:
                 up = high_water_mb() - before
                 rise[i] += up
                 risen[i] += up > 0
+                rss = resident_mb()
+                if rss is not None:
+                    after[i].append(rss)
             if kept is None:
                 kept = (list(capture.chains), list(capture.crossings),
                         list(capture.waves))
@@ -67,9 +85,10 @@ def main(argv=None) -> int:
     print(f"high-water mark: {start:.1f} MB after set-up, "
           f"{high_water_mb():.1f} MB at the end")
     width = max(len(op.label) for op in ops)
-    print(f"{'operation':<{width}}  rise_mb  rounds_risen")
-    for op, mb, n in zip(ops, rise, risen):
-        print(f"{op.label:<{width}}  {mb:7.2f}  {n:12d}")
+    print(f"{'operation':<{width}}  rise_mb  rounds_risen  rss_after_mb")
+    for op, mb, n, rss in zip(ops, rise, risen, after):
+        resident = f"{statistics.median(rss):12.1f}" if rss else f"{'n/a':>12}"
+        print(f"{op.label:<{width}}  {mb:7.2f}  {n:12d}  {resident}")
     return 0
 
 
