@@ -289,13 +289,20 @@ class YWalkKernel(WalkKernel):
     """The connectivity walk: transitions proportional to d_eps.
 
     The characteristic function has the exact resolvent form
-    phi_Y = phi (1 - eps) / (1 - eps phi), used instead of the truncated grid.
+    phi_Y = phi (1 - eps) / (1 - eps phi) in the base walk's phi, so the walk
+    is its base and eps alone; `connectivity_bound` builds the truncated
+    d_eps grid, whose radius is `radius`.
     """
 
-    def __init__(self, kernel: CouplingKernel, base: WalkKernel, eps: float):
-        super().__init__(kernel)
+    def __init__(self, base: WalkKernel, eps: float):
+        _, self._radius = _neumann_terms(base, eps)
         self.base = base
         self.eps = eps
+        self.name = f"y({base.name},{eps})"
+
+    @property
+    def radius(self) -> int:
+        return self._radius
 
     def _resolvent(self, phi):
         return phi * (1.0 - self.eps) / (1.0 - self.eps * phi)
@@ -338,6 +345,15 @@ class ConnectivityBound:
         return float(self.grid.sum())
 
 
+def _neumann_terms(walk: WalkKernel, eps: float) -> tuple[int, int]:
+    """The N terms of d_eps kept, eps^N < 1e-12, and the default grid radius
+    min(R N, 256) for a walk of radius R."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
+    n_terms = max(4, math.ceil(math.log(1e-12) / math.log(eps)))
+    return n_terms, min(walk.radius * n_terms, 256)
+
+
 def connectivity_bound(walk: WalkKernel, eps: float,
                        radius: int = None) -> ConnectivityBound:
     """d_eps = sum over n >= 1 of eps^n j^(n), truncated where eps^N < 1e-12.
@@ -345,11 +361,8 @@ def connectivity_bound(walk: WalkKernel, eps: float,
     The truncation error in total mass is at most eps^(N+1)/(1-eps), plus
     whatever leaks past the working radius (reported through `total`).
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    n_terms = max(4, math.ceil(math.log(1e-12) / math.log(eps)))
-    if radius is None:
-        radius = min(walk.radius * n_terms, 256)
+    n_terms, default_radius = _neumann_terms(walk, eps)
+    radius = default_radius if radius is None else radius
     j = walk.grid_values(radius)
     convolve = KernelConvolution(j, j.shape)
     power = j.copy()
@@ -371,16 +384,7 @@ def y_kernel(walk: WalkKernel, eps: float) -> YWalkKernel:
     recurrence verdict, and keeping it makes the resolvent form of phi_Y
     exact.
     """
-    d = connectivity_bound(walk, eps)
-    grid = d.grid / d.total
-    r = d.radius
-    explicit = {}
-    for ix in range(grid.shape[0]):
-        for iy in range(grid.shape[1]):
-            if grid[ix, iy] > 0:
-                explicit[(ix - r, iy - r)] = grid[ix, iy]
-    kernel = CouplingKernel(f"y({walk.name},{eps})", explicit=explicit)
-    return YWalkKernel(kernel, walk, eps)
+    return YWalkKernel(walk, eps)
 
 
 @dataclass

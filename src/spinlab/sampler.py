@@ -4,10 +4,10 @@ symmetry-breaking experiments.
 
 Single-site proposals (wrapped Gaussian plus occasional uniform refresh) on a
 checkerboard; hard-core potentials are handled by rejecting any proposal of
-infinite energy.  Every potential with a Fourier form, hard core and ring
-arcs included, is swept from per-mode local fields, whose modes each chain
-keeps between sweeps; only potentials without one (`absval`, `logsing`) call
-the potential on each neighbour difference.
+infinite energy.  One sweep serves every potential: those with a Fourier
+form, hard core and ring arcs included, take dE from per-mode local fields,
+whose modes each chain keeps between sweeps; only those without one
+(`absval`, `logsing`) call the potential on each neighbour difference.
 The smeared staircase state treats the boundary ring as arc-constrained
 sampling sites, which integrates the boundary smearing and the interior
 Gibbs weight jointly; boundary draws whose conditional measure would vanish
@@ -168,13 +168,13 @@ class _Stencil:
     neighbours are the steps (+1, 0), (-1, 0), (0, +1), (0, -1); an absent
     one points one past the grid, where `modes` keeps zeros.
 
-    The local-field sweep keeps two things here between sweeps: `modes`,
-    e^{is phi} of the grid for s = 1..degree (set on its first sweep and
-    updated where moves land), and `finite`, whether every counted bond
-    reads unbroken from each of its sampled ends, so that a hard core need
-    test only the proposal.  Both describe one grid, so each chain builds its
-    own stencil, and a change to the grid made outside the sweeps is followed
-    by `refresh`.
+    For a potential with a Fourier form the sweep keeps two things here:
+    `modes`, e^{is phi} of the grid for s = 1..degree (set on its first
+    sweep and updated where moves land), and `finite`, whether every counted
+    bond reads unbroken from each of its sampled ends, so that a hard core
+    need test only the proposal; without a form `finite` stays False.  Both
+    describe one grid, so each chain builds its own stencil, and a change to
+    the grid made outside the sweeps is followed by `refresh`.
     """
 
     def __init__(self, n: int, bc: BoundaryCondition):
@@ -224,27 +224,75 @@ def metropolis_sweep(cfg: SpinConfiguration, pot: PairPotential,
     bc, proposals farther than bc.delta from their arc centre are rejected
     (uniform prior on the arc, Gibbs weight from the interior bonds).
 
-    Every potential with a Fourier form, hard core included, goes through
-    `_local_field_sweep`: the same random draws and, up to roundoff in dE,
-    the same moves, without calling the potential.  The others call it on
-    the neighbour differences of the current and the proposed angle.
+    Every potential draws its proposals and accept uniforms alike.  Without
+    a Fourier form, dE calls the potential on the neighbour differences of
+    the current and the proposed angle.  With U(phi) = c0 + sum_s a_s
+    cos(s phi) + b_s sin(s phi) (`pot.fourier`) inside the cutoff of `pot`,
+    if any, and the neighbours' field Z_s = sum_j w_j e^{i s phi_j},
+    sum_j w_j U(x - phi_j) = c0 sum_j w_j + sum_s Re((a_s - i b_s) e^{isx} Z_s^*),
+    so dE needs e^{isx} only at the current and the proposed angle, and the
+    moves are the same up to roundoff.  `stencil.modes` keeps e^{is phi} of
+    the grid, updated where moves land, so each phase sees the moves of the
+    ones before.  A hard core is tested on the neighbour differences with
+    the arithmetic of `PairPotential.__call__`, so it rejects and accepts
+    what the pair energies do; while `stencil.finite` holds, no current
+    angle breaks a bond, and only the proposal is tested.
     """
-    if pot.fourier is not None:
-        return _local_field_sweep(cfg, pot, bc, width, rng, stencil)
+    poly = pot.fourier
     flat = cfg.grid.ravel()
+    if poly is not None:
+        coef = (poly.cos_coeffs - 1j * poly.sin_coeffs)[:, None]
+        if stencil.modes is None:  # the last column stands for absent neighbours
+            stencil.modes = np.zeros((poly.degree, flat.size + 1), dtype=complex)
+            stencil.refresh(cfg.grid)
+        e = stencil.modes
+    # finite: no current angle breaks a bond; clean: nor will the grid after
+    # this sweep, as far as this sweep's tests show (pair energies test none)
+    finite, clean = stencil.finite, poly is not None
     accepted = 0
     for p, (idx, nbr, present) in enumerate(stencil.phases):
-        cur = flat[idx]
+        cur = flat.take(idx)
         prop = _propose(cur, width, rng)
-        diff = np.stack([cur, prop])[:, None, :] - flat.take(nbr, mode="clip")
-        with np.errstate(invalid="ignore"):
-            e_old, e_new = np.where(present, pot(diff), 0.0).sum(axis=1)
-            ok = np.log(rng.random(len(idx))) < -(e_new - e_old)
-        ok &= np.isfinite(e_new)
+        if poly is None:
+            diff = np.stack([cur, prop])[:, None, :] - flat.take(nbr, mode="clip")
+            with np.errstate(invalid="ignore"):
+                e_old, e_new = np.where(present, pot(diff), 0.0).sum(axis=1)
+                de = e_new - e_old
+        else:
+            e_prop = _modes(poly.degree, prop)
+            field = e.take(nbr, axis=1).sum(axis=1)
+            np.conjugate(field, out=field)
+            np.multiply(coef, field, out=field)
+            de = e.take(idx, axis=1)
+            np.subtract(e_prop, de, out=de)
+            de *= field
+            de = de.real.sum(axis=0)
+        ok = np.log(rng.random(len(idx))) < np.negative(de, out=de)
+        if poly is None:
+            ok &= np.isfinite(e_new)
+        elif pot.cutoff is not None:
+            # rows: the proposal, then the current angle; the farthest
+            # present neighbour of each
+            rows = prop[None, :] if finite else np.stack([prop, cur])
+            dist = circle_dist(rows[:, None, :] - flat.take(nbr, mode="clip"))
+            dist *= present
+            dist = dist.max(axis=1)
+            if not finite:
+                broken = dist[1] > pot.cutoff
+                clean &= not broken.any()
+                ok |= broken
+            ok &= ~(dist[0] > pot.cutoff)
+            if np.any(ok & (dist[0] > pot.cutoff - _NEAR_CUTOFF)):
+                finite = clean = False
         if p == stencil.ring_phase:
             ok &= circle_dist(prop - stencil.ring_centres) <= bc.delta
-        flat[idx[ok]] = prop[ok]
-        accepted += int(ok.sum())
+        ok = np.flatnonzero(ok)
+        moved = idx.take(ok)
+        flat[moved] = prop.take(ok)
+        if poly is not None:
+            e[:, moved] = e_prop.take(ok, axis=1)
+        accepted += len(ok)
+    stencil.finite = clean
     return accepted
 
 
@@ -266,69 +314,6 @@ def _modes(degree: int, phi) -> np.ndarray:
     """e^{i s phi} for s = 1..degree, one row per s."""
     z = 1j * np.arange(1, degree + 1)[:, None] * phi
     return np.exp(z, out=z)
-
-
-def _local_field_sweep(cfg, pot, bc, width, rng, stencil) -> int:
-    """`metropolis_sweep` for U(phi) = c0 + sum_s a_s cos(s phi) + b_s sin(s phi)
-    (`pot.fourier`) inside the cutoff of `pot`, if it has one.
-
-    With the field Z_s = sum_j w_j e^{i s phi_j} of the neighbours,
-    sum_j w_j U(x - phi_j) = c0 sum_j w_j + sum_s Re((a_s - i b_s) e^{isx} Z_s^*),
-    so dE needs e^{isx} only at the current and the proposed angle.  The
-    chain keeps the modes e^{is phi} of its grid in `stencil.modes` and
-    updates them where moves are accepted, so each phase sees the moves of
-    the ones before.  A hard core is tested on the neighbour differences of
-    the proposed and the current angle with the arithmetic of
-    `PairPotential.__call__`, so it rejects and, from an infinite-energy
-    site, accepts what the generic sweep does.  While `stencil.finite` holds,
-    no current angle breaks a bond, and only the proposal is tested.
-    """
-    poly = pot.fourier
-    coef = (poly.cos_coeffs - 1j * poly.sin_coeffs)[:, None]
-    flat = cfg.grid.ravel()
-    if stencil.modes is None:  # the last column stands for absent neighbours
-        stencil.modes = np.zeros((poly.degree, flat.size + 1), dtype=complex)
-        stencil.refresh(cfg.grid)
-    e = stencil.modes
-    # finite: no current angle breaks a bond; clean: nor will the grid after
-    # this sweep, as far as this sweep's tests show
-    finite, clean = stencil.finite, True
-    accepted = 0
-    for p, (idx, nbr, present) in enumerate(stencil.phases):
-        cur = flat.take(idx)
-        prop = _propose(cur, width, rng)
-        e_prop = _modes(poly.degree, prop)
-        field = e.take(nbr, axis=1).sum(axis=1)
-        np.conjugate(field, out=field)
-        np.multiply(coef, field, out=field)
-        de = e.take(idx, axis=1)
-        np.subtract(e_prop, de, out=de)
-        de *= field
-        de = de.real.sum(axis=0)
-        ok = np.log(rng.random(len(idx))) < np.negative(de, out=de)
-        if pot.cutoff is not None:
-            # rows: the proposal, then the current angle; the farthest
-            # present neighbour of each
-            rows = prop[None, :] if finite else np.stack([prop, cur])
-            dist = circle_dist(rows[:, None, :] - flat.take(nbr, mode="clip"))
-            dist *= present
-            dist = dist.max(axis=1)
-            if not finite:
-                broken = dist[1] > pot.cutoff
-                clean &= not broken.any()
-                ok |= broken
-            ok &= ~(dist[0] > pot.cutoff)
-            if np.any(ok & (dist[0] > pot.cutoff - _NEAR_CUTOFF)):
-                finite = clean = False
-        if p == stencil.ring_phase:
-            ok &= circle_dist(prop - stencil.ring_centres) <= bc.delta
-        ok = np.flatnonzero(ok)
-        moved = idx.take(ok)
-        flat[moved] = prop.take(ok)
-        e[:, moved] = e_prop.take(ok, axis=1)
-        accepted += len(ok)
-    stencil.finite = clean
-    return accepted
 
 
 # ---------------------------------------------------------------------------

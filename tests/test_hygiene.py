@@ -327,3 +327,18 @@ def test_benchmark_hooks_install_and_restore():
     after = _spinlab_attributes()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+# The package's settable values may only fall: a change that adds one has
+# to raise this bound in plain sight.
+SETTABLE_VALUES_MAX = 488
+
+
+def test_settable_values_do_not_grow():
+    spec = importlib.util.spec_from_file_location(
+        "settable_values", ROOT / "tools" / "settable_values.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    total = sum(sum(tool.count(ast.parse(path.read_text())))
+                for path in tool.SRC.glob("*.py"))
+    assert total <= SETTABLE_VALUES_MAX

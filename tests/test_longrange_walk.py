@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
+from spinlab.lattice import sup_grid
 from spinlab.longrange_walk import (
     CouplingKernel,
     _tail_class,
@@ -334,11 +335,29 @@ class TestConnectivityBound:
             connectivity_bound(w, 1.0)
 
 
+def _d_eps_grid(walk, eps):
+    """The normalized truncated d_eps grid, the Y-walk's transitions, and its
+    radius."""
+    d = connectivity_bound(walk, eps)
+    return d.grid / d.total, d.radius
+
+
 class TestYKernel:
     def test_small_eps_limit(self):
         w = normalize(nn_kernel())
-        y = y_kernel(w, 0.01)
-        assert y.kernel.explicit[(1, 0)] == pytest.approx(0.25, rel=0.02)
+        grid, r = _d_eps_grid(w, 0.01)
+        assert grid[r + 1, r] == pytest.approx(0.25, rel=0.02)
+
+    @pytest.mark.parametrize("spec, eps", [
+        ("nn", 0.01), ("nn", 0.2), ("nn", 0.3), ("skewed", 0.2),
+        ("powerlaw(3.5)", 0.2)])
+    def test_radius_is_the_grid_extent(self, spec, eps):
+        # the default ladder reads the radius: that of the farthest site
+        # the truncated d_eps grid reaches
+        w = (normalize(kernel_preset(spec, radius=32)) if spec.startswith("power")
+             else _walk(spec))
+        grid, r = _d_eps_grid(w, eps)
+        assert y_kernel(w, eps).radius == sup_grid(r)[grid > 0].max()
 
     def test_resolvent_identity(self):
         # the closed-form characteristic function matches the transform of the
@@ -346,11 +365,11 @@ class TestYKernel:
         w = normalize(nn_kernel())
         eps = 0.2
         y = y_kernel(w, eps)
+        grid, r = _d_eps_grid(w, eps)
         rng = np.random.default_rng(2)
         thetas = rng.uniform(-math.pi, math.pi, size=(20, 2))
-        grid_phi = np.zeros(20)
-        for x, v in y.kernel.explicit.items():
-            grid_phi += v * np.cos(thetas @ np.asarray(x, dtype=float))
+        x = np.argwhere(grid > 0)
+        grid_phi = np.cos(thetas @ (x - r).T.astype(float)) @ grid[grid > 0]
         assert np.allclose(y.char_function(thetas), grid_phi, atol=1e-3)
 
     def test_lemma_gap_inequality(self):
@@ -370,10 +389,9 @@ class TestYKernel:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_symmetric(self):
-        w = normalize(nn_kernel())
-        y = y_kernel(w, 0.2)
-        for x, v in y.kernel.explicit.items():
-            assert y.kernel.explicit[(-x[0], -x[1])] == pytest.approx(v)
+        grid, _ = _d_eps_grid(normalize(nn_kernel()), 0.2)
+        on = grid > 0
+        assert grid[::-1, ::-1][on] == pytest.approx(grid[on])
 
 
 # the class of each walk without its cut, which the verdict must name at

@@ -132,6 +132,37 @@ class TestSweep:
         assert hardcore_violations(SpinConfiguration(3, np.zeros((9, 9))), pot, free_bc()) == 0
 
 
+class TestChainPins:
+    """Short chains pinned to 12 significant digits on both forms of dE: the
+    local fields (xy, a hard core with ring arcs) and the pair energies
+    (absval).  The two forms are checked against each other elsewhere, so
+    these catch a drift common to both."""
+
+    @staticmethod
+    def _digits(*values):
+        return [f"{v:.12g}" for v in values]
+
+    @pytest.mark.parametrize("pot, want", [
+        (xy(1.0), ["0.46750634442", "0.112471980041", "0.98", "0.529259259259"]),
+        (absval(), ["0.985177886112", "0.0969368822148", "0.5", "0.591049382716"]),
+    ], ids=["local-field", "pair-energy"])
+    def test_rotation_discrepancy(self, pot, want):
+        rep = rotation_discrepancy(pot, fixed_bc(0.0), cos_at((0, 0)), math.pi / 2,
+                                   4, 200, 0)
+        assert self._digits(rep.discrepancy, rep.error, rep.width,
+                            rep.acceptance_rate) == want
+
+    def test_two_point(self):
+        mean, err = two_point(xy(0.5), free_bc(), (0, 0), (0, 2), 4, 200, 0)
+        assert self._digits(mean, err) == ["0.0828318383035", "0.0621425554192"]
+
+    def test_aizenman_state(self):
+        rep = aizenman_state(12, 0.05, 1, 4, 200, 0)
+        assert rep.state.violations == 0
+        assert self._digits(rep.origin_modulus(), rep.covariance_gap) == [
+            "0.99986902469", "0.00650927157328"]
+
+
 class TestLocalFieldSweep:
     """A potential with a Fourier form takes the local-field sweep; with the
     form dropped it takes the generic one.  On one random stream both must
@@ -659,13 +690,20 @@ class TestAizenmanState:
         assert rep.origin_modulus() < 0.1
         assert rep.violations == 0
 
-    @pytest.mark.parametrize("bc, finite", [
-        (smeared_bc(12, 0.05, 1), True), (staircase_bc(12, 2), False)],
-        ids=["feasible", "infeasible"])
-    def test_violations_counted_off_a_finite_state(self, bc, finite, monkeypatch):
+    @pytest.mark.parametrize("bc, finite, fourier", [
+        (smeared_bc(12, 0.05, 1), True, True), (staircase_bc(12, 2), False, True),
+        (smeared_bc(12, 0.05, 1), True, False), (staircase_bc(12, 2), False, False)],
+        ids=["feasible", "infeasible", "feasible-pair-energy", "infeasible-pair-energy"])
+    def test_violations_counted_off_a_finite_state(self, bc, finite, fourier,
+                                                   monkeypatch):
         # a finite sweep state has no violation, so the count is skipped
-        # there; the total is that of a count after every recorded sweep
+        # there; the total is that of a count after every recorded sweep.  A
+        # hard core without a Fourier form never reads its state as finite,
+        # so it counts after every sweep, and makes the same moves
         pot, sweeps = aizenman(THETA12), 100
+        fourier_total = sample_state(pot, bc, 4, sweeps, seed=3).violations
+        if not fourier:
+            pot = dataclasses.replace(pot, fourier=None)
         count, chain = sampler.hardcore_violations, sampler.run_chain
         full, calls = [], []
 
@@ -682,9 +720,9 @@ class TestAizenmanState:
         monkeypatch.setattr(sampler, "hardcore_violations", spy_count)
         monkeypatch.setattr(sampler, "run_chain", spy_chain)
         rep = sample_state(pot, bc, 4, sweeps, seed=3)
-        assert rep.violations == sum(full)
+        assert rep.violations == sum(full) == fourier_total
         assert (rep.violations == 0) == finite
-        assert (len(calls) < sweeps) == finite
+        assert (len(calls) < sweeps) == (finite and fourier)
 
     def test_smeared_chain_samples_its_ring(self):
         # the smeared bc alone makes the chain sample its ring: the sites
