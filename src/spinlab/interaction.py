@@ -13,8 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import lattice
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -190,9 +188,6 @@ class SingularDecomposition:
     smooth: TrigPolynomial
     original: PairPotential
 
-    def upsilon(self, phi):
-        return self.smooth(wrap_angle(phi)) - self.original(phi)
-
     @property
     def second_derivative_bound(self) -> float:
         return second_derivative_bound(self.smooth)
@@ -321,61 +316,3 @@ def domination_epsilon(ratio: float) -> float:
         import warnings
         warnings.warn("domination density >= 1: Bernoulli comparison is vacuous")
     return eps
-
-
-# ---------------------------------------------------------------------------
-# exact toy systems: discretized spins on a tiny box, for domination checks
-
-@dataclass
-class DiscretizedToySystem:
-    """Spins taking q equally spaced angles on a (2n+1)^2 box, n <= 1, with
-    the boundary fixed at angle 0.
-
-    Partition functions with per-bond tilting factors are computed exactly
-    by one tensor contraction over the bonds, which is what makes
-    conditional open probabilities of the dependent bond process enumerable.
-    """
-
-    n: int
-    states: int
-    smooth: Callable[[np.ndarray], np.ndarray]
-    upsilon: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.n > 1:
-            raise ValueError("toy systems are meant for boxes <= 3x3")
-        self.bonds = sorted({  # all of E_n: at least one end inside
-            lattice.canonical_bond(u, (u[0] + dx, u[1] + dy))
-            for u in lattice.box_sites(self.n)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))})
-
-    def partition_function(self, tilted_bonds) -> float:
-        """Z(A) = sum_phi e^{-H_U} prod_{b in A} (e^{upsilon} - 1), exactly.
-
-        Bond (u, v), u < v, weighs w((phi_u - phi_v) mod q): a q x q factor
-        on the states of its two ends, of which a boundary end keeps only
-        state 0.  Z contracts all the factors over the states of the box.
-        """
-        q = self.states
-        diff = TWO_PI * np.arange(q) / q
-        plain = np.exp(-np.asarray(self.smooth(diff), dtype=float))
-        tilt = plain * np.expm1(np.asarray(self.upsilon(diff), dtype=float))
-        pairs = np.subtract.outer(np.arange(q), np.arange(q)) % q
-        tilted = set(tilted_bonds)
-        index = {u: i for i, u in enumerate(lattice.box_sites(self.n))}
-        operands = []
-        for u, v in self.bonds:
-            w = (tilt if (u, v) in tilted else plain)[pairs]
-            if u not in index:
-                w = w[0]
-            elif v not in index:
-                w = w[:, 0]
-            operands += [w, [index[x] for x in (u, v) if x in index]]
-        return float(np.einsum(*operands, [], optimize="greedy"))
-
-    def conditional_open_probability(self, bond, conditioning) -> float:
-        """P(bond in A | A minus bond = conditioning), exactly."""
-        d = set(conditioning) - {bond}
-        z_without = self.partition_function(d)
-        z_with = self.partition_function(d | {bond})
-        return z_with / (z_with + z_without)

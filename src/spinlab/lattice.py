@@ -74,13 +74,6 @@ class KernelConvolution:
         return out[self._centre]
 
 
-def box_sites(n: int):
-    """All sites of the box of radius n, (2n+1)^2 of them."""
-    if n < 0:
-        raise ValueError("box radius must be >= 0")
-    return [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)]
-
-
 def canonical_bond(u: Site, v: Site) -> Bond:
     return (u, v) if u <= v else (v, u)
 

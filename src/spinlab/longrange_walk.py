@@ -285,32 +285,29 @@ class WalkKernel:
         return g
 
 
-class YWalkKernel(WalkKernel):
+class YWalkKernel:
     """The connectivity walk: transitions proportional to d_eps.
 
     The characteristic function has the exact resolvent form
     phi_Y = phi (1 - eps) / (1 - eps phi) in the base walk's phi, so the walk
-    is its base and eps alone; `connectivity_bound` builds the truncated
-    d_eps grid, whose radius is `radius`.
+    is its base and eps alone.  It lists no kernel of its own, so it has no
+    `grid_values`: `connectivity_bound` builds the truncated d_eps grid,
+    whose radius is `radius`.
     """
 
     def __init__(self, base: WalkKernel, eps: float):
-        _, self._radius = _neumann_terms(base, eps)
+        _, self.radius = _neumann_terms(base, eps)
         self.base = base
         self.eps = eps
         self.name = f"y({base.name},{eps})"
 
     @property
-    def radius(self) -> int:
-        return self._radius
-
-    def _resolvent(self, phi):
-        return phi * (1.0 - self.eps) / (1.0 - self.eps * phi)
-
-    @property
     def tail(self):
         # 1 - phi_Y = (1 - phi) / (1 - eps phi): the base's class
         return self.base.tail
+
+    def char_function(self, theta: np.ndarray) -> np.ndarray:
+        return 1.0 - self.gap(theta)
 
     def gap(self, theta: np.ndarray) -> np.ndarray:
         # 1 - phi_Y = (1 - phi) / (1 - eps phi), from the base's gap
@@ -318,7 +315,8 @@ class YWalkKernel(WalkKernel):
         return g / (1.0 - self.eps * (1.0 - g))
 
     def midpoint_grid(self, n_grid: int) -> np.ndarray:
-        return self._resolvent(self.base.midpoint_grid(n_grid))
+        phi = self.base.midpoint_grid(n_grid)
+        return phi * (1.0 - self.eps) / (1.0 - self.eps * phi)
 
     @property
     def square_symmetric(self) -> bool:

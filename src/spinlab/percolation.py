@@ -200,7 +200,14 @@ class ShortCrossingEvent:
 def short_crossing_event(a_bonds, k: int, alpha: float) -> ShortCrossingEvent:
     """Tests, per rectangle of shell k, for at least alpha*2^(k-2) disjoint
     good crossings of length below 2^(k+3)/alpha; the event is their
-    conjunction over N, E, S, W."""
+    conjunction over N, E, S, W.
+
+    The short crossings are counted in one maximum family of disjoint
+    crossings, the one the flow decomposition returns; another maximum
+    family could hold more short ones.  So `holds` is proved by the
+    crossings it lists, while a failure is a failure of that family only:
+    the paper's event may still hold.
+    """
     if k < 2:
         raise ValueError("shell scale must be >= 2")
     if not 0 < alpha < 0.5:
@@ -232,7 +239,12 @@ def derive_tau(alpha: float, rho: float) -> float:
 def sparseness_certificate(a_bonds, n: int, rho: float, alpha: float,
                            early_stop: bool = False) -> SparsenessCertificate:
     """Disjoint d-circuits around the origin avoiding A, one family per dyadic
-    scale in [rho*log2 n, log2 n], with value sum of 1/|circuit|."""
+    scale in [rho*log2 n, log2 n], with value sum of 1/|circuit|.
+
+    A true verdict is proved by the circuits listed.  A false one is not a
+    proof that no such circuits exist: a scale counts only where
+    `short_crossing_event` holds on its one family of crossings.
+    """
     if n < 4:
         raise ValueError("box too small")
     if not 0 < rho < 1:
@@ -295,7 +307,13 @@ class FailureEstimate:
 def estimate_sparseness_failure(eps: float, n: int, samples: int, alpha: float,
                                 rho: float, seed: int) -> FailureEstimate:
     """Monte Carlo frequency of the sparseness verdict failing under the
-    independent bond process, with a Wilson interval."""
+    independent bond process, with a Wilson interval.
+
+    A verdict fails wherever the paper's event fails, and possibly where
+    the event holds but the one family of crossings examined does not show
+    it (`short_crossing_event`).  So the frequency estimates the verdict's
+    failure probability, which bounds the paper's from above.
+    """
     domain = box_bonds(n)
     child_seeds = np.random.SeedSequence(seed).spawn(samples)
     failures = 0

@@ -152,13 +152,6 @@ def _bond_masks(n: int, free: bool):
 # the sweep
 
 
-def accept_probability(delta_e) -> np.ndarray:
-    """Metropolis rule min(1, e^{-dE}); infinite dE is never accepted."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(-np.asarray(delta_e, dtype=float))
-    return np.where(np.isnan(out), 0.0, np.minimum(out, 1.0))
-
-
 class _Stencil:
     """The sweep state of one chain.
 
@@ -692,20 +685,3 @@ def aizenman_state(k: int, delta: float, sigma: int, n: int, sweeps: int,
     report = sample_state(pot, bc, n, sweeps, seed, init=init)
     gap, err = _covariance_check(report.stats, sigma, theta)
     return AizenmanReport(report, gap, err)
-
-
-# ---------------------------------------------------------------------------
-# discrete toy systems (exact detailed-balance check)
-
-
-def discrete_metropolis_matrix(energies: np.ndarray) -> np.ndarray:
-    """Single-site Metropolis transition matrix for a discrete system with
-    the given state energies and uniform proposals."""
-    m = len(energies)
-    p = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                p[i, j] = accept_probability(energies[j] - energies[i]) / m
-        p[i, i] = 1.0 - p[i].sum()
-    return p

@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from exact import DiscretizedToySystem, discrete_metropolis_matrix
 from spinlab import lattice
-from spinlab.interaction import DiscretizedToySystem, aizenman, xy
+from spinlab.interaction import aizenman, xy
 from spinlab.layer_measure import (
     OrbitConfiguration,
     chi_density,
@@ -38,7 +39,6 @@ from spinlab.percolation import (
 from spinlab.sampler import (
     batch_means,
     cos_at,
-    discrete_metropolis_matrix,
     feasibility,
     fixed_bc,
     free_bc,

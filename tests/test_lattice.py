@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from exact import box_sites
 from spinlab.lattice import (
     DualPath,
     KernelConvolution,
-    box_sites,
     circuit_from_crossings,
     component_boundary,
     crossed_bond,

@@ -388,6 +388,29 @@ class TestYKernel:
         assert np.all(lhs <= rhs + 1e-12)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", ["nn", "skewed"])
+    def test_every_public_member(self, spec):
+        # a Y-walk is its base and eps: every member it has is evaluated
+        # here, against the base's characteristic function in resolvent form
+        w, eps = _walk(spec), 0.2
+        y = y_kernel(w, eps)
+        members = {name for name in dir(y) if not name.startswith("_")}
+        assert members == {"base", "char_function", "eps", "gap", "midpoint_grid",
+                           "name", "radius", "square_symmetric", "tail"}
+        assert (y.base, y.eps, y.name) == (w, eps, f"y({w.name},{eps})")
+        assert y.radius == connectivity_bound(w, eps).radius
+        assert y.tail == w.tail
+        assert y.square_symmetric == w.square_symmetric
+        thetas = np.random.default_rng(4).uniform(-math.pi, math.pi, size=(50, 2))
+        phi = w.char_function(thetas)
+        assert np.allclose(y.char_function(thetas),
+                           phi * (1 - eps) / (1 - eps * phi), atol=1e-12)
+        assert np.array_equal(y.char_function(thetas), 1.0 - y.gap(thetas))
+        t = -math.pi + 2 * math.pi * (np.arange(8) + 0.5) / 8
+        tx, ty = np.meshgrid(t, t, indexing="ij")
+        assert np.allclose(y.midpoint_grid(8),
+                           y.char_function(np.stack([tx, ty], axis=-1)), atol=1e-12)
+
     def test_symmetric(self):
         grid, _ = _d_eps_grid(normalize(nn_kernel()), 0.2)
         on = grid > 0

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0, i1
 
+from exact import discrete_metropolis_matrix, envelope_arcs
 from spinlab import sampler
 from spinlab.interaction import (PairPotential, TrigPolynomial, absval, aizenman,
                                  circle_dist, decompose, logsing, wrap_angle, xy)
@@ -15,7 +16,6 @@ from spinlab.sampler import (
     aizenman_state,
     batch_means,
     cos_at,
-    discrete_metropolis_matrix,
     feasibility,
     feasible_point,
     fixed_bc,
@@ -756,6 +756,18 @@ class TestAizenmanState:
         assert feasibility(smeared_bc(16, 0.8, 2), theta, 1).verdict != "infeasible"
         rep = aizenman_state(16, 0.8, 2, 1, 64, seed=0)
         assert rep.state.violations == 0
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_magnetization_inside_the_envelopes(self, n):
+        # every finite-energy configuration puts box site i inside the arc
+        # [lower_i, upper_i] of the certificate, so its magnetization, a
+        # mean of unit vectors there, has a modulus of at least cos of the
+        # arc's half-width and an argument inside the arc.  No error bar is
+        # involved: a miss is a bug
+        centre, half = envelope_arcs(12, 0.05, 1, n)
+        m = aizenman_state(12, 0.05, 1, n, 300, seed=5).state.magnetization.ravel()
+        assert np.all(np.abs(m) >= np.cos(half) - 1e-12)
+        assert np.all(np.abs(np.angle(m * np.exp(-1j * centre))) <= half + 1e-12)
 
     def test_infeasible_staircase_aborts(self):
         with pytest.raises(RuntimeError):
