@@ -285,47 +285,6 @@ class WalkKernel:
         return g
 
 
-class YWalkKernel:
-    """The connectivity walk: transitions proportional to d_eps.
-
-    The characteristic function has the exact resolvent form
-    phi_Y = phi (1 - eps) / (1 - eps phi) in the base walk's phi, so the walk
-    is its base and eps alone.  It lists no kernel of its own, so it has no
-    `grid_values`: `connectivity_bound` builds the truncated d_eps grid,
-    whose radius is `radius`.
-    """
-
-    def __init__(self, base: WalkKernel, eps: float):
-        _, self.radius = _neumann_terms(base, eps)
-        self.base = base
-        self.eps = eps
-        self.name = f"y({base.name},{eps})"
-
-    @property
-    def tail(self):
-        # 1 - phi_Y = (1 - phi) / (1 - eps phi): the base's class
-        return self.base.tail
-
-    def char_function(self, theta: np.ndarray) -> np.ndarray:
-        return 1.0 - self.gap(theta)
-
-    def gap(self, theta: np.ndarray) -> np.ndarray:
-        # 1 - phi_Y = (1 - phi) / (1 - eps phi), from the base's gap
-        g = self.base.gap(theta)
-        return g / (1.0 - self.eps * (1.0 - g))
-
-    def midpoint_grid(self, n_grid: int) -> np.ndarray:
-        phi = self.base.midpoint_grid(n_grid)
-        return phi * (1.0 - self.eps) / (1.0 - self.eps * phi)
-
-    @property
-    def square_symmetric(self) -> bool:
-        # phi_Y is a function of the base's phi, so it has the base's
-        # symmetries exactly; the truncated d_eps grid has them only up to
-        # the FFT rounding of its convolutions
-        return self.base.square_symmetric
-
-
 @dataclass
 class ConnectivityBound:
     """Truncated Neumann series d_eps on a grid, with its mass accounting."""
@@ -372,17 +331,6 @@ def connectivity_bound(walk: WalkKernel, eps: float,
         scale *= eps
         acc += scale * power
     return ConnectivityBound(eps, radius, acc)
-
-
-def y_kernel(walk: WalkKernel, eps: float) -> YWalkKernel:
-    """Normalized walk with transitions proportional to d_eps.
-
-    d_eps keeps return mass at the origin (even-step loops), so the Y-walk is
-    lazy; laziness rescales 1 - phi by a constant and cannot change the
-    recurrence verdict, and keeping it makes the resolvent form of phi_Y
-    exact.
-    """
-    return YWalkKernel(walk, eps)
 
 
 @dataclass

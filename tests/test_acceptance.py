@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from exact import DiscretizedToySystem, discrete_metropolis_matrix
+from exact import DiscretizedToySystem, discrete_metropolis_matrix, y_kernel
 from spinlab import lattice
 from spinlab.interaction import aizenman, xy
 from spinlab.layer_measure import (
@@ -27,7 +27,6 @@ from spinlab.longrange_walk import (
     nn_kernel,
     normalize,
     recurrence_classify,
-    y_kernel,
 )
 from spinlab.percolation import (
     box_bonds,

@@ -331,7 +331,7 @@ def test_benchmark_hooks_install_and_restore():
 
 # The package's settable values may only fall: a change that adds one has
 # to raise this bound in plain sight.
-SETTABLE_VALUES_MAX = 477
+SETTABLE_VALUES_MAX = 470
 
 
 def test_settable_values_do_not_grow():

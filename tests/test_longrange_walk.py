@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
+from exact import y_kernel
 from spinlab.lattice import sup_grid
 from spinlab.longrange_walk import (
     CouplingKernel,
@@ -15,7 +16,6 @@ from spinlab.longrange_walk import (
     normalize,
     recurrence_classify,
     truncated_integrals,
-    y_kernel,
 )
 
 
