@@ -228,9 +228,9 @@ def _run_sparseness(p, seed):
 
 
 def _run_recurrence(p, seed):
-    from .longrange_walk import kernel_preset, normalize, recurrence_classify
+    from .longrange_walk import kernel_preset, recurrence_classify
 
-    walk = normalize(kernel_preset(p["kernel"], radius=p["radius"]))
+    walk = kernel_preset(p["kernel"], radius=p["radius"])
     rep = recurrence_classify(walk)
     rows = [[float(r), float(v)] for r, v in zip(rep.rhos, rep.values)]
     tables = {"recurrence.csv": (["rho", "integral"], _by_column(rows))}
@@ -239,10 +239,10 @@ def _run_recurrence(p, seed):
 
 
 def _run_spinwave(p, seed):
-    from .longrange_walk import kernel_preset, normalize
+    from .longrange_walk import kernel_preset
     from .spinwave import conductance_grid, dirichlet_energy, solve_spinwave
 
-    walk = normalize(kernel_preset(p["kernel"]))
+    walk = kernel_preset(p["kernel"])
     cgrid = conductance_grid(walk, p["eps"])
     rows = []
     energies = []
@@ -277,10 +277,10 @@ def _run_spinwave(p, seed):
 
 
 def _run_entropy(p, seed):
-    from .longrange_walk import kernel_preset, normalize
+    from .longrange_walk import kernel_preset
     from .spinwave import expected_entropy
 
-    walk = normalize(kernel_preset(p["kernel"]))
+    walk = kernel_preset(p["kernel"])
     rows = []
     means = []
     for i, n in enumerate(p["ns"]):

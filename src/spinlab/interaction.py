@@ -78,18 +78,16 @@ class PairPotential:
 
 def xy(J: float = 1.0) -> PairPotential:
     """XY interaction -J cos(phi); U'' = J cos <= J."""
-    return PairPotential(f"xy({J})", lambda p: -J * np.cos(p),
-                         fourier=TrigPolynomial(0.0, np.array([-float(J)]),
-                                                np.array([0.0])))
+    poly = TrigPolynomial(0.0, np.array([-float(J)]), np.array([0.0]))
+    return PairPotential(f"xy({J})", poly, fourier=poly)
 
 
 def aizenman(theta: float) -> PairPotential:
     """-cos(phi) inside the angular cutoff theta, +inf beyond it."""
     if not 0 < theta < math.pi:
         raise ValueError("cutoff must lie in (0, pi)")
-    return PairPotential(f"aizenman({theta})", lambda p: -np.cos(p), cutoff=theta,
-                         fourier=TrigPolynomial(0.0, np.array([-1.0]),
-                                                np.array([0.0])))
+    poly = TrigPolynomial(0.0, np.array([-1.0]), np.array([0.0]))
+    return PairPotential(f"aizenman({theta})", poly, cutoff=theta, fourier=poly)
 
 
 def logsing(floor: float = -30.0) -> PairPotential:

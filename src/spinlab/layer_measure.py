@@ -157,10 +157,6 @@ class CircleDensity:
     def sup_deviation(self) -> float:
         return float(np.max(np.abs(self.values - 1.0)))
 
-    @classmethod
-    def uniform(cls, m: int = DEFAULT_GRID) -> "CircleDensity":
-        return cls(np.ones(m))
-
 
 def chi_density(w: np.ndarray) -> CircleDensity:
     """Density of the layer increment: q proportional to e^{-W}, from the

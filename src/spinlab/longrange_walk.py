@@ -1,13 +1,15 @@
-"""Symmetric random walks driven by long-range coupling kernels.
+"""Symmetric random walks whose transition probabilities are normalized
+long-range couplings.
 
-The walk with transitions j(x) = J_x is recurrent exactly when the integral
-I(rho) = int over the torus minus a ball of radius rho of d(theta)/(1 - phi),
-phi being the characteristic function, diverges as rho -> 0 (Spitzer's
-criterion).  Every kernel cut at a finite radius is recurrent, so the verdict
-comes from the tail of the uncut kernel (`_tail_class`), and the I(rho)
-ladder is numeric evidence.  The connectivity walk Y has transitions
-proportional to d_eps(x) = sum over n of eps^n j^(n)(x), whose characteristic
-function is the exact resolvent expression phi (1 - eps) / (1 - eps phi).
+A `WalkKernel` is built from couplings J and keeps them divided by their
+total mass, so j(x) = J_x / sum_y J_y.  The walk is recurrent exactly when
+the integral I(rho) = int over the torus minus a ball of radius rho of
+d(theta)/(1 - phi), phi being the characteristic function, diverges as
+rho -> 0 (Spitzer's criterion).  Every kernel cut at a finite radius is
+recurrent, so the verdict comes from the tail of the uncut kernel
+(`_tail_class`), and the I(rho) ladder is numeric evidence.
+`connectivity_bound` sums d_eps(x) = sum over n >= 1 of eps^n j^(n)(x), the
+conductances of the spin-wave solver.
 
 The quadrature of I(rho) takes phi from two exact shortcuts:
 
@@ -44,68 +46,9 @@ from .lattice import KernelConvolution, sup_grid, sup_norm
 DEFAULT_RADIUS = 512
 
 
-@dataclass
-class CouplingKernel:
-    """Symmetric coupling J, either per-ring values or an explicit site map.
-
-    `rings[r]` is the per-site coupling on the sup-norm ring of radius r
-    (index 0 unused); `explicit` maps sites to couplings directly.  Exactly
-    one of the two is set.  `tail` = (s, a_2, ..., a_p) says that the rings
-    are j(r) = r^-s log_2(r + c_2)^a_2 ... log_p(r + c_p)^a_p (`_tail_rings`)
-    cut at the radius; it is None for a kernel with no such infinite-range
-    form.
-    """
-
-    name: str
-    rings: np.ndarray = None  # type: ignore[assignment]
-    explicit: dict = None  # type: ignore[assignment]
-    tail: tuple = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        # an atom at the origin is allowed (lazy walks such as the
-        # connectivity walk carry return mass); it is trivially symmetric
-        if (self.rings is None) == (self.explicit is None):
-            raise ValueError("need exactly one of rings or explicit")
-        if self.explicit is not None:
-            for x, v in self.explicit.items():
-                mx = (-x[0], -x[1])
-                if abs(self.explicit.get(mx, 0.0) - v) > 1e-12:
-                    raise ValueError(f"kernel not symmetric at {x}")
-                if v < 0:
-                    raise ValueError("negative couplings not supported")
-        else:
-            if np.min(self.rings) < 0:
-                raise ValueError("negative couplings not supported")
-
-    @property
-    def radius(self) -> int:
-        if self.rings is not None:
-            return len(self.rings) - 1
-        return max(map(sup_norm, self.explicit))
-
-    def total(self) -> float:
-        if self.rings is not None:
-            r = np.arange(len(self.rings))
-            return float(np.sum(self.rings * 8 * r))
-        return float(sum(self.explicit.values()))
-
-
-def normalize(kernel: CouplingKernel) -> "WalkKernel":
-    """Rescale so the transition probabilities sum to one."""
-    z = kernel.total()
-    if not 0 < z < math.inf:
-        raise ValueError("kernel mass must be positive and finite")
-    if kernel.rings is not None:
-        out = CouplingKernel(kernel.name, rings=kernel.rings / z, tail=kernel.tail)
-    else:
-        out = CouplingKernel(kernel.name,
-                             explicit={x: v / z for x, v in kernel.explicit.items()})
-    return WalkKernel(out)
-
-
-def nn_kernel() -> CouplingKernel:
-    return CouplingKernel("nn", explicit={(1, 0): 1.0, (-1, 0): 1.0,
-                                          (0, 1): 1.0, (0, -1): 1.0})
+def _ring_mass(rings: np.ndarray) -> float:
+    """Total coupling of per-ring values: ring r has 8 r sites."""
+    return float(np.sum(rings * 8 * np.arange(len(rings))))
 
 
 def _tail_rings(tail, radius: int) -> np.ndarray:
@@ -125,20 +68,23 @@ def _tail_rings(tail, radius: int) -> np.ndarray:
     return np.append(0.0, vals)
 
 
-def kernel_preset(spec: str, radius: int = DEFAULT_RADIUS) -> CouplingKernel:
+def nn_kernel() -> WalkKernel:
+    return WalkKernel(explicit={(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0})
+
+
+def kernel_preset(spec: str, radius: int = DEFAULT_RADIUS) -> WalkKernel:
     """Preset parser: nn, powerlaw(s) = r^-s (tail (s,)), logcorr(p) =
     r^-4 log_2 r ... log_p r (tail (4, 1, ..., 1)) and logcorr_eps(p, eps),
     whose last factor has the power 1 + eps, on the rings up to `radius`.
 
-    A kernel whose mass at this radius is not positive and finite, as
-    `normalize` needs, is refused too.
+    A kernel whose mass at this radius is not positive and finite cannot be
+    normalized, and is refused.
     """
     spec = spec.strip()
     if spec == "nn":
         return nn_kernel()
     if spec.startswith("powerlaw(") and spec.endswith(")"):
-        s = _finite(spec[9:-1])
-        name, tail = f"powerlaw({s})", (s,)
+        tail = (_finite(spec[9:-1]),)
     else:
         if spec.startswith("logcorr(") and spec.endswith(")"):
             p, last = int(spec[8:-1]), 1.0
@@ -149,14 +95,13 @@ def kernel_preset(spec: str, radius: int = DEFAULT_RADIUS) -> CouplingKernel:
             raise ValueError(f"unknown kernel preset: {spec}")
         if p < 2:
             raise ValueError("need p >= 2")
-        name = f"logcorr({p})" if last == 1.0 else f"logcorr_eps({p},{last - 1})"
         tail = (4.0,) + (1.0,) * (p - 2) + (last,)
     with np.errstate(over="ignore"):
-        kernel = CouplingKernel(name, rings=_tail_rings(tail, radius), tail=tail)
-        mass = kernel.total()
+        rings = _tail_rings(tail, radius)
+        mass = _ring_mass(rings)
     if not 0 < mass < math.inf:
         raise ValueError(f"kernel preset {spec!r} has mass {mass} at radius {radius}")
-    return kernel
+    return WalkKernel(rings=rings, tail=tail)
 
 
 def _finite(text: str) -> float:
@@ -167,22 +112,42 @@ def _finite(text: str) -> float:
 
 
 class WalkKernel:
-    """Normalized transition kernel with characteristic-function machinery."""
+    """Symmetric random walk whose transition probabilities are the
+    normalized couplings J, with characteristic-function machinery.
 
-    def __init__(self, kernel: CouplingKernel):
-        if abs(kernel.total() - 1.0) > 1e-9:
-            raise ValueError("walk kernel must be normalized")
-        self.kernel = kernel
-        self.name = kernel.name
+    The couplings are either per-ring values, `rings[r]` being the per-site
+    coupling on the sup-norm ring of radius r (index 0 unused), or an
+    explicit map from sites to couplings; exactly one of the two is given,
+    and both are kept divided by their total mass.  `tail` = (s, a_2, ...,
+    a_p) says that the rings are j(r) = r^-s log_2(r + c_2)^a_2 ...
+    log_p(r + c_p)^a_p (`_tail_rings`) cut at the radius; it is None for a
+    kernel with no such infinite-range form.
+    """
 
-    @property
-    def radius(self) -> int:
-        return self.kernel.radius
-
-    @property
-    def tail(self):
-        """The tail exponents of the infinite-range kernel, or None."""
-        return self.kernel.tail
+    def __init__(self, rings: np.ndarray = None, explicit: dict = None, tail: tuple = None):
+        # an atom at the origin is allowed (lazy walks carry return mass);
+        # it is trivially symmetric
+        if (rings is None) == (explicit is None):
+            raise ValueError("need exactly one of rings or explicit")
+        if explicit is not None:
+            for x, v in explicit.items():
+                if abs(explicit.get((-x[0], -x[1]), 0.0) - v) > 1e-12:
+                    raise ValueError(f"kernel not symmetric at {x}")
+                if v < 0:
+                    raise ValueError("negative couplings not supported")
+            mass = float(sum(explicit.values()))
+            self.radius = max(map(sup_norm, explicit))
+        else:
+            if np.min(rings) < 0:
+                raise ValueError("negative couplings not supported")
+            mass = _ring_mass(rings)
+            self.radius = len(rings) - 1
+        if not 0 < mass < math.inf:
+            raise ValueError("kernel mass must be positive and finite")
+        self.rings = None if rings is None else rings / mass
+        self.explicit = (None if explicit is None
+                         else {x: v / mass for x, v in explicit.items()})
+        self.tail = tail
 
     def char_function(self, theta: np.ndarray) -> np.ndarray:
         """phi(theta) = sum_x cos(theta . x) j(x); theta of shape (..., 2)."""
@@ -201,14 +166,13 @@ class WalkKernel:
         theta = np.asarray(theta, dtype=float)
         t1 = theta[..., 0]
         t2 = theta[..., 1]
-        if self.kernel.explicit is not None:
+        if self.explicit is not None:
             out = np.zeros_like(t1)
-            for (x1, x2), v in self.kernel.explicit.items():
+            for (x1, x2), v in self.explicit.items():
                 out += 2.0 * v * np.sin(0.5 * (t1 * x1 + t2 * x2)) ** 2
             return out
-        rings = self.kernel.rings
-        s = np.arange(1, len(rings))
-        c = rings[1:] - np.append(rings[2:], 0.0)  # box s = 0 adds nothing
+        s = np.arange(1, len(self.rings))
+        c = self.rings[1:] - np.append(self.rings[2:], 0.0)  # box s = 0 adds nothing
         cw = c * (2.0 * s + 1.0)
         flat1 = t1.reshape(-1)
         flat2 = t2.reshape(-1)
@@ -245,7 +209,7 @@ class WalkKernel:
         x = np.arange(-r, r + 1)
         q, m = np.divmod(x, n_grid)
         sign = np.where((n_grid - 1) * q % 2, -1.0, 1.0)
-        if self.kernel.rings is None:
+        if self.rings is None:
             fold = np.zeros((n_grid, x.size))
             fold[m, np.arange(x.size)] = sign
             folded = fold @ self.grid_values() @ fold.T
@@ -254,7 +218,7 @@ class WalkKernel:
             np.add.at(box, (m, np.abs(x)), sign)  # x and -x share column |x|
             np.cumsum(box, axis=1, out=box)
             rho = np.zeros(r + 2)
-            rho[1:-1] = self.kernel.rings[1:]
+            rho[1:-1] = self.rings[1:]
             folded = (box * (rho[:-1] - rho[1:])) @ box.T
         phase = np.exp(1j * math.pi * (1.0 / n_grid - 1.0) * np.arange(n_grid))
         return np.fft.ifft2(phase[:, None] * folded * phase, norm="forward").real
@@ -265,7 +229,7 @@ class WalkKernel:
         all eight symmetries of the square, and so is phi.  A ring kernel
         depends on ||x||_inf alone, so it is symmetric by construction and
         its grid is not built."""
-        if self.kernel.rings is not None:
+        if self.rings is not None:
             return True
         g = self.grid_values()
         return bool(np.array_equal(g, g.T) and np.array_equal(g, g[::-1]))
@@ -274,12 +238,12 @@ class WalkKernel:
         """j on the square grid [-radius, radius]^2, index [x+radius, y+radius]."""
         if radius is None:
             radius = self.radius
-        if self.kernel.rings is not None:
+        if self.rings is not None:
             rings = np.zeros(radius + 1)  # zero at the origin and past the kernel
-            rings[1:len(self.kernel.rings)] = self.kernel.rings[1:radius + 1]
+            rings[1:len(self.rings)] = self.rings[1:radius + 1]
             return rings[sup_grid(radius)]
         g = np.zeros((2 * radius + 1, 2 * radius + 1))
-        for x, v in self.kernel.explicit.items():
+        for x, v in self.explicit.items():
             if sup_norm(x) <= radius:
                 g[x[0] + radius, x[1] + radius] = v
         return g

@@ -167,7 +167,6 @@ class YWalkKernel:
         _, self.radius = _neumann_terms(base, eps)
         self.base = base
         self.eps = eps
-        self.name = f"y({base.name},{eps})"
 
     @property
     def tail(self):

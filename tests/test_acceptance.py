@@ -25,7 +25,6 @@ from spinlab.layer_measure import (
 from spinlab.longrange_walk import (
     kernel_preset,
     nn_kernel,
-    normalize,
     recurrence_classify,
 )
 from spinlab.percolation import (
@@ -183,10 +182,10 @@ class TestAcceptance:
 
     def test_criterion_5_recurrence_classification(self):
         t0 = time.time()
-        nn = recurrence_classify(normalize(kernel_preset("nn")))
-        pl = recurrence_classify(normalize(kernel_preset("powerlaw(3.5)")))
-        lc = recurrence_classify(normalize(kernel_preset("logcorr(2)")))
-        yk = recurrence_classify(y_kernel(normalize(nn_kernel()), 0.2))
+        nn = recurrence_classify(kernel_preset("nn"))
+        pl = recurrence_classify(kernel_preset("powerlaw(3.5)"))
+        lc = recurrence_classify(kernel_preset("logcorr(2)"))
+        yk = recurrence_classify(y_kernel(nn_kernel(), 0.2))
         ok = (nn.verdict == "recurrent" and nn.fit["residual"] < 0.02
               and pl.verdict == "transient"
               and pl.fit["last_rel_increment"] < 0.005
@@ -199,7 +198,7 @@ class TestAcceptance:
 
     def test_criterion_6_spinwave_energy_and_entropy(self):
         t0 = time.time()
-        walk = normalize(nn_kernel())
+        walk = nn_kernel()
         psi = math.pi / 4
         energies = [dirichlet_energy(solve_spinwave(walk, n, 2, psi))
                     for n in (16, 32, 64, 128)]
@@ -280,7 +279,7 @@ class TestAcceptance:
         pi /= pi.sum()
         ok = ok and np.max(np.abs(pi[:, None] * p - (pi[:, None] * p).T)) < 1e-12
         # maximum principle
-        w = solve_spinwave(normalize(nn_kernel()), 8, 2, 1.0)
+        w = solve_spinwave(nn_kernel(), 8, 2, 1.0)
         ok = ok and w.values.min() >= -1e-10 and w.values.max() <= 1 + 1e-10
         # determinism by seed
         kw = dict(observables={"c": cos_at((0, 0))})

@@ -176,7 +176,7 @@ class TestFourierPath:
 
 class TestCircleDensity:
     def test_uniform(self):
-        q = CircleDensity.uniform(128)
+        q = CircleDensity(np.ones(128))
         assert q.fourier(0) == pytest.approx(1.0)
         assert abs(q.fourier(1)) < 1e-12
         assert q.sup_deviation == 0.0
@@ -246,12 +246,12 @@ class TestConvolve:
         t = circle_grid(256)
         vals = np.exp(np.cos(t))
         q = CircleDensity(vals / np.mean(vals))
-        conv = convolve([q, CircleDensity.uniform(256)])
+        conv = convolve([q, CircleDensity(np.ones(256))])
         assert np.allclose(conv.values, 1.0, atol=1e-10)
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
-            convolve([CircleDensity.uniform(64), CircleDensity.uniform(128)])
+            convolve([CircleDensity(np.ones(64)), CircleDensity(np.ones(128))])
 
     def test_flattens_toward_uniform(self):
         orbit = OrbitConfiguration.constant(6)

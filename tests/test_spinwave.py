@@ -13,7 +13,6 @@ from spinlab.longrange_walk import (
     connectivity_bound,
     kernel_preset,
     nn_kernel,
-    normalize,
 )
 from spinlab.spinwave import (
     BoxForm,
@@ -35,7 +34,7 @@ from spinlab.spinwave import (
 
 @pytest.fixture(scope="module")
 def nn_walk():
-    return normalize(nn_kernel())
+    return nn_kernel()
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +155,7 @@ def direct_solve(cgrid, n, inner, psi):
 class TestPreconditioner:
     @pytest.mark.parametrize("kernel, radius", [("nn", None), ("powerlaw(3.5)", 12)])
     def test_direct_solve_oracle(self, kernel, radius):
-        walk = normalize(kernel_preset(kernel, radius=32))
+        walk = kernel_preset(kernel, radius=32)
         cgrid = conductance_grid(walk, 0.2, radius=radius)
         wave = solve_spinwave(walk, 8, 2, math.pi / 4, cgrid=cgrid)
         direct = direct_solve(cgrid, 8, 2, math.pi / 4)
@@ -184,7 +183,7 @@ class TestPreconditioner:
         assert max(its) <= 3, its
 
     def test_iterations_flat_in_n_long_range(self):
-        walk = normalize(kernel_preset("powerlaw(3.5)", radius=32))
+        walk = kernel_preset("powerlaw(3.5)", radius=32)
         cgrid = conductance_grid(walk, 0.2, radius=48)
         its = [solve_spinwave(walk, n, 2, math.pi / 4, cgrid=cgrid).iterations
                for n in (16, 32, 64)]
@@ -193,7 +192,7 @@ class TestPreconditioner:
     @pytest.mark.parametrize("kernel", ["nn", "powerlaw(3.5)", "logcorr(2)",
                                         "logcorr_eps(2, 0.5)"])
     def test_symbol_positive_for_presets(self, kernel):
-        cgrid = conductance_grid(normalize(kernel_preset(kernel)), 0.2)
+        cgrid = conductance_grid(kernel_preset(kernel), 0.2)
         for n in (4, 128):
             assert _sine_symbol(cgrid, 2 * n + 1).min() > 0
 
@@ -239,7 +238,7 @@ class TestDirichletEnergy:
         assert energies[2] / energies[1] < 0.85
 
     def test_transient_energy_floor(self):
-        w = normalize(kernel_preset("powerlaw(3.5)", radius=32))
+        w = kernel_preset("powerlaw(3.5)", radius=32)
         cgrid = conductance_grid(w, 0.2, radius=48)
         energies = [dirichlet_energy(solve_spinwave(w, n, 2, math.pi / 4, cgrid=cgrid))
                     for n in (16, 32, 64)]
@@ -549,7 +548,7 @@ class TestClusterLabelling:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_unique_labelling(self, n, seed):
         rng = np.random.default_rng(seed)
-        j_grid = normalize(kernel_preset("powerlaw(3.5)", radius=3)).grid_values()
+        j_grid = kernel_preset("powerlaw(3.5)", radius=3).grid_values()
         bonds = sample_long_range_bonds(0.6, j_grid, n, rng)
         v_sites = [tuple(int(c) for c in rng.integers(-n - 3, n + 4, 2))
                    for _ in range(3)] + [(0, 0)]
