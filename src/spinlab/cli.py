@@ -288,9 +288,9 @@ def _run_entropy(p, seed):
                                p["samples"], seed + i)
         means.append(rep.mean)
         rows.append([n, p["eps"], rep.samples, rep.mean, rep.ci[0], rep.ci[1],
-                     rep.gated_fraction, rep.cluster_mean, rep.cluster_comparison])
+                     rep.cluster_mean, rep.cluster_comparison])
     tables = {"entropy.csv": (["n", "eps", "samples", "mean", "ci_lo", "ci_hi",
-                               "gated", "cluster_mean", "cluster_comparison"],
+                               "cluster_mean", "cluster_comparison"],
                               _by_column(rows))}
     return tables, {"means": means}
 

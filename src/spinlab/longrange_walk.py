@@ -95,6 +95,8 @@ def kernel_preset(spec: str, radius: int = DEFAULT_RADIUS) -> WalkKernel:
             raise ValueError(f"unknown kernel preset: {spec}")
         if p < 2:
             raise ValueError("need p >= 2")
+        if p > 4:  # c_4 = exp(exp(e)) ~ 3.8e6, and c_5 = exp(c_4)
+            raise ValueError(f"need p <= 4: the log offset c_{p} overflows a float")
         tail = (4.0,) + (1.0,) * (p - 2) + (last,)
     with np.errstate(over="ignore"):
         rings = _tail_rings(tail, radius)
@@ -251,19 +253,10 @@ class WalkKernel:
 
 @dataclass
 class ConnectivityBound:
-    """Truncated Neumann series d_eps on a grid, with its mass accounting."""
+    """Truncated Neumann series d_eps on the grid of sup-norm <= radius."""
 
-    eps: float
     radius: int
     grid: np.ndarray  # d_eps values, index [x+radius, y+radius]
-
-    @property
-    def c_bound(self) -> float:
-        return self.eps / (1.0 - self.eps)
-
-    @property
-    def total(self) -> float:
-        return float(self.grid.sum())
 
 
 def _neumann_terms(walk: WalkKernel, eps: float) -> tuple[int, int]:
@@ -280,7 +273,8 @@ def connectivity_bound(walk: WalkKernel, eps: float,
     """d_eps = sum over n >= 1 of eps^n j^(n), truncated where eps^N < 1e-12.
 
     The truncation error in total mass is at most eps^(N+1)/(1-eps), plus
-    whatever leaks past the working radius (reported through `total`).
+    whatever leaks past the working radius: the full series has mass
+    eps/(1-eps), and the grid's sum falls short of it by both.
     """
     n_terms, default_radius = _neumann_terms(walk, eps)
     radius = default_radius if radius is None else radius
@@ -294,7 +288,7 @@ def connectivity_bound(walk: WalkKernel, eps: float,
         power = np.clip(power, 0.0, None)
         scale *= eps
         acc += scale * power
-    return ConnectivityBound(eps, radius, acc)
+    return ConnectivityBound(radius, acc)
 
 
 @dataclass

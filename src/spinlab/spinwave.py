@@ -39,7 +39,7 @@ from scipy.fft import dstn, idstn
 from scipy.sparse import coo_matrix, csgraph
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .lattice import KernelConvolution, sup_grid, sup_norm
+from .lattice import KernelConvolution, sup_grid
 from .longrange_walk import WalkKernel, connectivity_bound
 
 
@@ -183,44 +183,11 @@ def dirichlet_energy(wave: SpinWaveField) -> float:
     return _quadratic_form(wave.values, BoxForm(wave.cgrid, box))
 
 
-def compute_R_delta(v_sites, delta: float, eps: float, walk: WalkKernel,
-                    f_sup: float) -> int:
-    """Smallest R with |V| * (d_eps mass beyond R - rho_V) <= delta/(2 f_sup).
-
-    The unresolved mass past the numerical truncation is charged to every
-    tail, so the answer errs on the large side.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    v_sites = list(v_sites)
-    rho = max(1, max(map(sup_norm, v_sites), default=1))
-    d = connectivity_bound(walk, eps)
-    sup = sup_grid(d.radius)
-    ring_mass = np.bincount(sup.ravel(), weights=d.grid.ravel())
-    leak = d.c_bound - d.total  # mass beyond the truncation radius
-    target = delta / (2.0 * f_sup)
-    # tails[r]: the mass on rings r and beyond, plus the leak
-    tails = np.cumsum(np.r_[leak, ring_mass[::-1]])[::-1]
-    for r_del in range(rho, rho + len(ring_mass) + 1):
-        cut = min(r_del - rho + 1, len(ring_mass))
-        if len(v_sites) * tails[cut] <= target:
-            return r_del
-    raise ValueError("tail never small enough; increase the truncation radius")
-
-
-@dataclass
-class DeformedSpinWave:
-    base: SpinWaveField
-    values: np.ndarray
-    gated: bool  # True when r_A(V) > R(delta) forced the wave to zero
-
-
-def _clusters(bonds, v_sites=None):
-    """One labelling of the A-clusters.  For the sites the bonds touch, in
-    lexicographic order: their (k, 2) coordinates and their cluster labels;
-    then r_A(V), or None without v_sites.  A touched site is numbered by its
-    rank among the marked codes of the (2b + 1)^2 box that holds every bond
-    end."""
+def _clusters(bonds):
+    """One labelling of the A-clusters: the (k, 2) coordinates of the sites
+    the bonds touch, in lexicographic order, and their cluster labels.  A
+    touched site is numbered by its rank among the marked codes of the
+    (2b + 1)^2 box that holds every bond end."""
     ends = np.asarray(bonds, dtype=np.int64).reshape(-1, 2)
     b = int(np.abs(ends).max(initial=0))
     side = 2 * b + 1
@@ -233,30 +200,14 @@ def _clusters(bonds, v_sites=None):
     graph = coo_matrix((np.ones(len(inv) // 2), (inv[0::2], inv[1::2])),
                        shape=(len(sites), len(sites)))
     _, labels = csgraph.connected_components(graph, directed=False)
-    if v_sites is None:
-        return sites, labels, None
-    v = np.asarray(v_sites, dtype=np.int64).reshape(-1, 2)
-    v_codes = ((v[:, 0] + b) * side + v[:, 1] + b)[np.abs(v).max(axis=1) <= b]
-    v_labels = labels[rank[v_codes[touched[v_codes]]]]
-    reach = max(np.abs(v).max(initial=0),
-                np.abs(sites[np.isin(labels, v_labels)]).max(initial=0))
-    return sites, labels, int(reach)
+    return sites, labels
 
 
-def cluster_reach(bonds, v_sites) -> int:
-    """r_A(V): the largest sup-norm reachable from V through bonds of A."""
-    return _clusters(bonds, v_sites)[2]
-
-
-def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
-           r_delta: int = None) -> DeformedSpinWave:
-    """Cluster-wise minimum of the wave over the A-clusters (identity off
-    clusters); if the clusters of V reach beyond r_delta the whole deformed
-    wave is set to zero."""
+def deform(wave: SpinWaveField, bonds) -> np.ndarray:
+    """The wave's grid with each A-cluster set to its minimum over the
+    cluster (identity off clusters); sites past the grid count as 0."""
     m = wave.margin
-    sites, labels, r_a = _clusters(bonds, None if r_delta is None else v_sites)
-    if r_delta is not None and r_a > r_delta:
-        return DeformedSpinWave(wave, np.zeros_like(wave.values), True)
+    sites, labels = _clusters(bonds)
     inside = np.abs(sites).max(axis=1) <= m
     x, y = sites[inside].T + m
     vals = np.zeros(len(sites))
@@ -265,7 +216,7 @@ def deform(wave: SpinWaveField, bonds, v_sites=((0, 0),),
     np.minimum.at(low, labels, vals)
     values = wave.values.copy()
     values[x, y] = low[labels[inside]]
-    return DeformedSpinWave(wave, values, False)
+    return values
 
 
 @dataclass
@@ -275,17 +226,17 @@ class EntropyEstimate:
     term_cluster_y: float
 
 
-def entropy_bound(deformed: DeformedSpinWave, form: BoxForm,
+def entropy_bound(wave: SpinWaveField, deformed: np.ndarray, form: BoxForm,
                   c1: float) -> EntropyEstimate:
     """Quadratic form c1 sum J(x-y) (tilde Psi(x) - tilde Psi(y))^2 over x in
-    the box, and the two cluster terms of its Jensen decomposition; the
-    third, 3 c1 Q(Psi), does not depend on the bonds.  `form` holds J on the
-    wave's grid and box.  The cluster terms take no convolution: one weighs
-    disp^2 by J * 1 over the box, the other, the box sum of J * disp^2, is
-    the dot product of disp^2 with the box mass."""
-    tpsi = deformed.values
-    value = c1 * _quadratic_form(tpsi, form)
-    disp2 = (tpsi - deformed.base.values) ** 2
+    the box, tilde Psi the `deform`ed grid of the wave, and the two cluster
+    terms of its Jensen decomposition; the third, 3 c1 Q(Psi), does not
+    depend on the bonds.  `form` holds J on the wave's grid and box.  The
+    cluster terms take no convolution: one weighs disp^2 by J * 1 over the
+    box, the other, the box sum of J * disp^2, is the dot product of disp^2
+    with the box mass."""
+    value = c1 * _quadratic_form(deformed, form)
+    disp2 = (deformed - wave.values) ** 2
     term_x = 3 * c1 * float(np.sum((form.row_mass * disp2)[form.box]))
     term_y = 3 * c1 * float(np.vdot(disp2, form.box_mass))
     return EntropyEstimate(value, term_x, term_y)
@@ -325,19 +276,19 @@ class EntropyReport:
     samples: int
     mean: float
     ci: tuple
-    gated_fraction: float
     cluster_mean: float
     cluster_comparison: float
 
 
 def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
-                     psi: float, samples: int, seed: int,
-                     r_delta: int = None) -> EntropyReport:
+                     psi: float, samples: int, seed: int) -> EntropyReport:
     """Monte Carlo average of the entropy bound over A ~ Q_{J,eps}.
 
     The coupling J is the walk kernel itself, and the bound is taken with
     c1 = 1; the analytic comparison value for the cluster terms replaces the
-    connectivity probability by its d_eps upper bound.
+    connectivity probability by its d_eps upper bound.  Every sample is
+    deformed: the paper's gate, which zeroes the wave when the clusters of V
+    reach past R(delta), is not applied.
     """
     wave = solve_spinwave(walk, n, inner, psi, eps=eps)
     j_grid = walk.grid_values(min(walk.radius, wave.margin))
@@ -345,16 +296,9 @@ def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
     rng = np.random.default_rng(seed)
     vals = []
     cluster_vals = []
-    gated = 0
     for _ in range(samples):
         bonds = sample_long_range_bonds(eps, j_grid, wave.margin, rng)
-        dw = deform(wave, bonds, r_delta=r_delta)
-        if dw.gated:
-            gated += 1
-            vals.append(0.0)
-            cluster_vals.append(0.0)
-            continue
-        est = entropy_bound(dw, form, 1.0)
+        est = entropy_bound(wave, deform(wave, bonds), form, 1.0)
         vals.append(est.value)
         cluster_vals.append(est.term_cluster_x + est.term_cluster_y)
     vals = np.asarray(vals)
@@ -364,5 +308,4 @@ def expected_entropy(walk: WalkKernel, eps: float, n: int, inner: int,
     # are bounded by 6 c1 times the d_eps quadratic form of the smooth wave
     comparison = 6.0 * dirichlet_energy(wave)
     return EntropyReport(samples, mean, (mean - half, mean + half),
-                         gated / samples, float(np.mean(cluster_vals)),
-                         comparison)
+                         float(np.mean(cluster_vals)), comparison)

@@ -1,6 +1,6 @@
-"""Exact references that the tests hold spinlab to.
+"""Exact references that the tests hold spinlab to, and one paper threshold.
 
-Each one is computed apart from the code it checks: by enumeration or
+Each reference is computed apart from the code it checks: by enumeration or
 contraction, from a transition matrix written out in full, or from a
 certificate that bounds every finite-energy configuration.  None of them
 is library code; no experiment and no benchmark operation calls them.
@@ -18,6 +18,9 @@ is library code; no experiment and no benchmark operation calls them.
 - `YWalkKernel` and `y_kernel`: the connectivity walk Y, whose
   characteristic function is an exact resolvent expression in its base
   walk's, for the recurrence verdict of criterion 5.
+- `compute_R_delta`: the paper's R(delta), the radius past which the
+  A-clusters of V reach with probability at most delta/(2 f_sup), from the
+  d_eps tail mass; the tests hold the cluster reach of sampled bonds to it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from spinlab.interaction import TWO_PI, wrap_angle
-from spinlab.lattice import canonical_bond
-from spinlab.longrange_walk import WalkKernel, _neumann_terms
+from spinlab.lattice import canonical_bond, sup_grid, sup_norm
+from spinlab.longrange_walk import WalkKernel, _neumann_terms, connectivity_bound
 from spinlab.sampler import feasibility, smeared_bc
 
 
@@ -202,3 +205,33 @@ def y_kernel(walk: WalkKernel, eps: float) -> YWalkKernel:
     exact.
     """
     return YWalkKernel(walk, eps)
+
+
+# ---------------------------------------------------------------------------
+# R(delta): the cluster reach that the bond process exceeds rarely
+
+
+def compute_R_delta(v_sites, delta: float, eps: float, walk: WalkKernel,
+                    f_sup: float) -> int:
+    """Smallest R with |V| * (d_eps mass beyond R - rho_V) <= delta/(2 f_sup).
+
+    The unresolved mass past the numerical truncation, eps/(1 - eps) less the
+    grid's sum, is charged to every tail, so the answer errs on the large
+    side.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    v_sites = list(v_sites)
+    rho = max(1, max(map(sup_norm, v_sites), default=1))
+    d = connectivity_bound(walk, eps)
+    sup = sup_grid(d.radius)
+    ring_mass = np.bincount(sup.ravel(), weights=d.grid.ravel())
+    leak = eps / (1.0 - eps) - float(d.grid.sum())  # mass past the truncation
+    target = delta / (2.0 * f_sup)
+    # tails[r]: the mass on rings r and beyond, plus the leak
+    tails = np.cumsum(np.r_[leak, ring_mass[::-1]])[::-1]
+    for r_del in range(rho, rho + len(ring_mass) + 1):
+        cut = min(r_del - rho + 1, len(ring_mass))
+        if len(v_sites) * tails[cut] <= target:
+            return r_del
+    raise ValueError("tail never small enough; increase the truncation radius")

@@ -23,12 +23,6 @@ MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted(p for p in (ROOT / "tests").glob("*.py")
                if p.name != "test_acceptance.py")
 
-# Paper quantities R(delta) and r_A(V): only test_spinwave.py calls them until
-# the entropy experiment exposes its delta-gate.  The guard wants this exact
-# list, so a name leaves it as soon as it gains a caller.
-UNCALLED_OK = ["spinwave.cluster_reach", "spinwave.compute_R_delta"]
-
-
 def _loaded(tree) -> set:
     return {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -232,7 +226,7 @@ def test_every_public_name_has_a_caller():
     for path in sorted((ROOT / "spinbench").glob("*.py")):
         outside |= references(ast.parse(path.read_text()), strings=True)
     modules = {p.stem: ast.parse(p.read_text()) for p in MODULES}
-    assert uncalled_names(modules, outside) == UNCALLED_OK
+    assert uncalled_names(modules, outside) == []
 
 
 def test_caller_guard_catches_dead_code():
@@ -253,8 +247,7 @@ def test_caller_guard_catches_dead_code():
 def test_every_public_member_has_a_reader():
     # readers as for module names; a field that only its constructor call
     # writes is an input echo, a member that only module tests read is dead
-    # code.  ConnectivityBound.c_bound needs no exemption: compute_R_delta
-    # reads it.
+    # code.
     outside = attribute_reads(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     for path in sorted((ROOT / "spinbench").glob("*.py")):
         outside += attribute_reads(ast.parse(path.read_text()), strings=True)
@@ -344,7 +337,7 @@ def test_benchmark_hooks_install_and_restore():
 
 # The package's settable values may only fall: a change that adds one has
 # to raise this bound in plain sight.
-SETTABLE_VALUES_MAX = 465
+SETTABLE_VALUES_MAX = 450
 
 
 def test_settable_values_do_not_grow():

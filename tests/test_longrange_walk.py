@@ -51,6 +51,11 @@ class TestKernels:
         assert y_kernel(w, 0.2).tail == w.tail
         with pytest.raises(ValueError):
             kernel_preset("logcorr(1)")
+        # c_4 = exp(exp(e)) ~ 3.8e6 is the last log offset a float holds
+        assert kernel_preset("logcorr(4)", radius=64).tail == (4.0, 1.0, 1.0, 1.0)
+        for spec in ("logcorr(5)", "logcorr_eps(5, 0.5)"):
+            with pytest.raises(ValueError, match="log offset c_5 overflows"):
+                kernel_preset(spec)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -300,16 +305,12 @@ class TestChapmanKolmogorov:
 
 
 class TestConnectivityBound:
-    def test_c_bound_at_half(self):
-        w = nn_kernel()
-        d = connectivity_bound(w, 0.5)
-        assert d.c_bound == pytest.approx(1.0)
-
     def test_geometric_mass_identity(self):
+        # the full series has mass eps/(1 - eps)
         w = nn_kernel()
         d = connectivity_bound(w, 0.2)
-        assert d.total == pytest.approx(0.2 / 0.8, abs=1e-6)
-        assert d.total <= d.c_bound + 1e-12
+        assert d.grid.sum() == pytest.approx(0.2 / 0.8, abs=1e-6)
+        assert d.grid.sum() <= 0.2 / 0.8 + 1e-12
 
     def test_first_order_small_eps(self):
         w = nn_kernel()
@@ -320,12 +321,13 @@ class TestConnectivityBound:
     def test_truncation_error_formula(self):
         w = nn_kernel()
         d = connectivity_bound(w, 0.3)
-        assert d.total <= d.c_bound
+        total = float(d.grid.sum())
+        assert total <= 0.3 / 0.7
         # N = 23 terms bring 0.3^N below 1e-12; the terms past N carry
         # eps^(N + 1)/(1 - eps), all of it here, since n <= N steps of the
         # nn walk stay inside the radius N
         assert d.radius == 23
-        assert d.c_bound - d.total == pytest.approx(0.3 ** 24 / 0.7, rel=1e-3)
+        assert 0.3 / 0.7 - total == pytest.approx(0.3 ** 24 / 0.7, rel=1e-3)
 
     def test_rejects_bad_eps(self):
         w = nn_kernel()
@@ -337,7 +339,7 @@ def _d_eps_grid(walk, eps):
     """The normalized truncated d_eps grid, the Y-walk's transitions, and its
     radius."""
     d = connectivity_bound(walk, eps)
-    return d.grid / d.total, d.radius
+    return d.grid / d.grid.sum(), d.radius
 
 
 class TestYKernel:

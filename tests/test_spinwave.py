@@ -8,6 +8,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
+from exact import compute_R_delta
 from spinlab.lattice import sup_grid, sup_norm
 from spinlab.longrange_walk import (
     connectivity_bound,
@@ -20,8 +21,6 @@ from spinlab.spinwave import (
     _clusters,
     _quadratic_form,
     _sine_symbol,
-    cluster_reach,
-    compute_R_delta,
     conductance_grid,
     deform,
     dirichlet_energy,
@@ -251,7 +250,7 @@ class TestRDelta:
     def test_inequality_tight(self, nn_walk):
         d = connectivity_bound(nn_walk, 0.2)
         sup = sup_grid(d.radius)
-        leak = d.c_bound - d.total
+        leak = 0.2 / 0.8 - float(d.grid.sum())
         for delta in (0.5, 0.05, 0.005):
             r = compute_R_delta([(0, 0)], delta, 0.2, nn_walk, 1.0)
             tail = float(d.grid[sup >= r].sum()) + leak
@@ -276,16 +275,15 @@ class TestRDelta:
 
 
 def _deformed_at(dw, x):
-    """The deformed wave at site x, read from its grid."""
-    m = dw.base.margin
-    return float(dw.values[x[0] + m, x[1] + m])
+    """The deformed wave at site x, read from its grid of side 2 margin + 1."""
+    m = (dw.shape[0] - 1) // 2
+    return float(dw[x[0] + m, x[1] + m])
 
 
 class TestDeform:
     def test_empty_bonds_identity(self, small_wave):
         dw = deform(small_wave, [])
-        assert np.array_equal(dw.values, small_wave.values)
-        assert not dw.gated
+        assert np.array_equal(dw, small_wave.values)
 
     def test_single_bond_takes_minimum(self, small_wave):
         x, y = (3, 0), (4, 0)
@@ -313,19 +311,6 @@ class TestDeform:
         dw = deform(small_wave, bonds)
         assert _deformed_at(dw, (8, 0)) == 0.0
 
-    def test_cluster_reach(self):
-        bonds = [((0, 0), (3, 1)), ((3, 1), (0, -6)), ((20, 20), (21, 20))]
-        assert cluster_reach(bonds, [(0, 0)]) == 6
-        assert cluster_reach([], [(2, 1)]) == 2
-
-    def test_gate_zeroes_everything(self, small_wave):
-        bonds = [((0, 0), (7, 0))]
-        dw = deform(small_wave, bonds, r_delta=3)
-        assert dw.gated
-        assert not dw.values.any()
-        ok = deform(small_wave, bonds, r_delta=7)
-        assert not ok.gated
-
     def test_gate_frequency_bounded(self, nn_walk, small_wave):
         # union bound: P(r_A(V) > R(delta)) <= |V| * tail <= delta / (2 f_sup)
         delta, eps = 0.1, 0.2
@@ -335,18 +320,20 @@ class TestDeform:
         trials, bad = 400, 0
         for _ in range(trials):
             bonds = sample_long_range_bonds(eps, j_grid, small_wave.margin, rng)
-            if cluster_reach(bonds, [(0, 0)]) > r_delta:
+            if bfs_deform(small_wave, bonds, [(0, 0)])[1] > r_delta:
                 bad += 1
         bound = delta / 2
         assert bad / trials <= bound + 3 * math.sqrt(bound * (1 - bound) / trials)
 
 
-def bfs_deform(wave, bonds, v_sites, r_delta):
+def bfs_deform(wave, bonds, v_sites=((0, 0),)):
     """Reference deformation: clusters by breadth-first search over the
-    bonds, minima by a plain scan.  Returns (values, r_a, gated)."""
+    bonds, minima by a plain scan.  Returns (values, r_a): the deformed grid
+    and r_A(V), the largest sup-norm that the A-clusters of V reach."""
     m = wave.margin
     adj = {}
-    for x, y in bonds:
+    for x, y in np.asarray(bonds, dtype=np.int64).reshape(-1, 2, 2).tolist():
+        x, y = tuple(x), tuple(y)
         adj.setdefault(x, []).append(y)
         adj.setdefault(y, []).append(x)
     clusters = []
@@ -368,8 +355,6 @@ def bfs_deform(wave, bonds, v_sites, r_delta):
     for members in clusters:
         if any(v in members for v in v_sites):
             r_a = max([r_a] + [sup_norm(s) for s in members])
-    if r_delta is not None and r_a > r_delta:
-        return np.zeros_like(wave.values), r_a, True
 
     def val(s):
         return wave.at(s) if sup_norm(s) <= m else 0.0
@@ -380,7 +365,7 @@ def bfs_deform(wave, bonds, v_sites, r_delta):
         for s in members:
             if sup_norm(s) <= m:
                 values[s[0] + m, s[1] + m] = lo
-    return values, r_a, False
+    return values, r_a
 
 
 class TestClusterOracle:
@@ -390,23 +375,14 @@ class TestClusterOracle:
         # endpoints reach past the margin
         m = small_wave.margin
         rng = np.random.default_rng(31)
-        gated = 0
         for _ in range(150):
             bonds = []
             for _ in range(int(rng.integers(0, 40))):
                 x = tuple(int(c) for c in rng.integers(-m - 2, m + 3, 2))
                 d = rng.integers(-2, 3, 2)
                 bonds.append((x, (x[0] + int(d[0]), x[1] + int(d[1]))))
-            v_sites = [tuple(int(c) for c in rng.integers(-3, 4, 2))
-                       for _ in range(int(rng.integers(1, 4)))]
-            r_delta = [None, 4, 9][int(rng.integers(3))]
-            values, r_a, gate = bfs_deform(small_wave, bonds, v_sites, r_delta)
-            dw = deform(small_wave, bonds, v_sites, r_delta)
-            assert np.array_equal(dw.values, values)
-            assert r_a == cluster_reach(bonds, v_sites)
-            assert dw.gated == gate
-            gated += gate
-        assert 0 < gated < 150
+            assert np.array_equal(deform(small_wave, bonds),
+                                  bfs_deform(small_wave, bonds)[0])
 
     def test_tie_across_the_box_edge(self, small_wave):
         # (9, 0) is outside the box and (m + 1, 0) outside the grid: both 0,
@@ -524,23 +500,17 @@ class TestBoxForm:
         assert np.allclose(form.box_mass, col, rtol=0, atol=1e-14)
 
 
-def _unique_labelling(bonds, v_sites):
+def _unique_labelling(bonds):
     # the labelling by np.unique that the code-grid ranks replace
     ends = np.asarray(bonds, dtype=np.int64).reshape(-1, 2)
-    v = np.asarray(v_sites, dtype=np.int64).reshape(-1, 2)
-    b = int(np.abs(np.concatenate([ends, v])).max(initial=0))
+    b = int(np.abs(ends).max(initial=0))
     side = 2 * b + 1
     codes, first, inv = np.unique((ends[:, 0] + b) * side + ends[:, 1] + b,
                                   return_index=True, return_inverse=True)
     graph = coo_matrix((np.ones(len(inv) // 2), (inv[0::2], inv[1::2])),
                        shape=(len(codes), len(codes)))
     _, labels = connected_components(graph, directed=False)
-    sites = ends[first]
-    v_codes = (v[:, 0] + b) * side + v[:, 1] + b
-    v_labels = labels[np.searchsorted(codes, v_codes[np.isin(v_codes, codes)])]
-    reach = max(np.abs(v).max(initial=0),
-                np.abs(sites[np.isin(labels, v_labels)]).max(initial=0))
-    return sites, labels, int(reach)
+    return ends[first], labels
 
 
 class TestClusterLabelling:
@@ -550,20 +520,17 @@ class TestClusterLabelling:
         rng = np.random.default_rng(seed)
         j_grid = kernel_preset("powerlaw(3.5)", radius=3).grid_values()
         bonds = sample_long_range_bonds(0.6, j_grid, n, rng)
-        v_sites = [tuple(int(c) for c in rng.integers(-n - 3, n + 4, 2))
-                   for _ in range(3)] + [(0, 0)]
-        sites, labels, reach = _clusters(bonds, v_sites)
-        want = _unique_labelling(bonds, v_sites)
-        assert np.array_equal(sites, want[0])
-        assert np.array_equal(labels, want[1])
-        assert reach == want[2]
-        assert _clusters(bonds)[2] is None
+        sites, labels = _clusters(bonds)
+        want_sites, want_labels = _unique_labelling(bonds)
+        assert np.array_equal(sites, want_sites)
+        assert np.array_equal(labels, want_labels)
 
 
 class TestEntropyBound:
     def test_no_bonds_reduces_to_smooth_form(self, nn_walk, small_wave):
         j_grid = nn_walk.grid_values(small_wave.margin)
-        est = entropy_bound(deform(small_wave, []), box_form(small_wave, j_grid), c1=2.0)
+        est = entropy_bound(small_wave, deform(small_wave, []),
+                            box_form(small_wave, j_grid), c1=2.0)
         assert est.term_cluster_x == 0.0
         assert est.term_cluster_y == 0.0
         assert est.value == pytest.approx(smooth_term(small_wave, j_grid, 2.0) / 3,
@@ -573,7 +540,7 @@ class TestEntropyBound:
         j_grid = nn_walk.grid_values(1)
         bonds = [((3, 0), (5, 0)), ((0, 4), (0, 6)), ((-4, -4), (-5, -4))]
         dw = deform(small_wave, bonds)
-        est = entropy_bound(dw, box_form(small_wave, j_grid), c1=1.0)
+        est = entropy_bound(small_wave, dw, box_form(small_wave, j_grid), c1=1.0)
         direct = 0.0
         n = small_wave.n
         for x1 in range(-n, n + 1):
@@ -587,17 +554,11 @@ class TestEntropyBound:
         rng = np.random.default_rng(17)
         for _ in range(5):
             bonds = sample_long_range_bonds(0.3, j_grid, small_wave.margin, rng)
-            est = entropy_bound(deform(small_wave, bonds), box_form(small_wave, j_grid),
-                                c1=1.5)
+            est = entropy_bound(small_wave, deform(small_wave, bonds),
+                                box_form(small_wave, j_grid), c1=1.5)
             jensen = (est.term_cluster_x + est.term_cluster_y
                       + smooth_term(small_wave, j_grid, 1.5))
             assert est.value <= jensen + 1e-12
-
-    def test_gated_wave_has_zero_entropy(self, nn_walk, small_wave):
-        j_grid = nn_walk.grid_values(2)
-        dw = deform(small_wave, [((0, 0), (7, 0))], r_delta=3)
-        est = entropy_bound(dw, box_form(small_wave, j_grid), c1=1.0)
-        assert est.value == 0.0
 
 
 class TestExpectedEntropy:
@@ -605,7 +566,6 @@ class TestExpectedEntropy:
         rep = expected_entropy(nn_walk, 0.2, 8, 2, math.pi / 4, 40, seed=5)
         assert rep.ci[0] <= rep.mean <= rep.ci[1]
         assert rep.mean >= 0.0
-        assert rep.gated_fraction == 0.0
         # connection probabilities are dominated by d_eps
         assert rep.cluster_mean <= rep.cluster_comparison
 
